@@ -33,7 +33,7 @@ def main() -> int:
 
     t0 = time.time()
     paths = write_figures(
-        figure_configs(args.prec_bits), args.out, "csv", emit_svg=not args.skip_svg
+        figure_configs(args.prec_bits), args.out, emit_svg=not args.skip_svg
     )
     for p in paths:
         print(f"wrote {p}")

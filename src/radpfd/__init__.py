@@ -12,7 +12,6 @@ that make the divergence visible.
 
 from .exact import (
     CoefficientVector,
-    RationalTaylorSeries,
     coefficient_range,
     decimal_str,
     exact_coefficients,
@@ -20,8 +19,6 @@ from .exact import (
     parse_rational,
     principal_part_remainder,
     rational_str,
-    series_reciprocal,
-    unit_factor,
 )
 from .specfun import (
     EvalResult,
@@ -74,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientVector",
-    "RationalTaylorSeries",
     "coefficient_range",
     "decimal_str",
     "exact_coefficients",
@@ -82,8 +78,6 @@ __all__ = [
     "parse_rational",
     "principal_part_remainder",
     "rational_str",
-    "series_reciprocal",
-    "unit_factor",
     "EvalResult",
     "dilog",
     "hurwitz_zeta",

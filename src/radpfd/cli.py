@@ -116,9 +116,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_range(args):
+    if not 1 <= args.n_from <= args.n_to:
+        raise ValueError(f"need 1 <= --from <= --to, got {args.n_from}..{args.n_to}")
+
+
 def cmd_constants(args) -> int:
     prec = args.prec_bits
     d = args.digits
+    if d < 1:
+        raise ValueError("--digits must be at least 1")
     z0 = solve_saddle(prec)
     sd = saddle_constants(z0, prec)
     with mp.workprec(prec):
@@ -168,17 +175,17 @@ def cmd_integral(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.format == "svg":
+        raise ValueError("compare emits tables; use csv or json")
+    _check_range(args)
     modes = frozenset(m.strip() for m in args.modes.split(",") if m.strip())
     cfg = RunConfig(
         precision_bits=args.prec_bits,
         n_from=args.n_from,
         n_to=args.n_to,
         l=args.l,
-        output_format=args.format if args.format != "svg" else "csv",
         modes=modes,
     )
-    if args.format == "svg":
-        raise ValueError("compare emits tables; use csv or json")
     skipped = [N for N in range(cfg.n_from, cfg.n_to + 1) if cfg.l > N]
     if skipped and "exact" in modes:
         print(
@@ -198,7 +205,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def write_figures(configs, out_dir: Path, fmt: str, emit_svg: bool):
+def write_figures(configs, out_dir: Path, emit_svg: bool):
     """Write each (stem, RunConfig, nodes) dataset to out_dir; returns paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -234,15 +241,16 @@ def write_figures(configs, out_dir: Path, fmt: str, emit_svg: bool):
 
 def cmd_figures(args) -> int:
     out_dir = args.out if args.out is not None else Path(".")
-    paths = write_figures(
-        figure_configs(args.prec_bits), out_dir, args.format, args.format == "svg"
-    )
+    paths = write_figures(figure_configs(args.prec_bits), out_dir, args.format == "svg")
     for path in paths:
         print(str(path))
     return 0
 
 
 def cmd_disproof(args) -> int:
+    _check_range(args)
+    if not 1 <= args.l <= args.n_to:
+        raise ValueError(f"--l must be in 1..{args.n_to}, got {args.l}")
     prec = args.prec_bits
     sd = saddle_constants(solve_saddle(prec), prec)
     if args.n_to - args.n_from < 2 * sd.p:

@@ -212,10 +212,11 @@ def _check_arc_spec(spec: QuadratureSpec, l: int, N: int):
         raise ValueError("arc radius is fixed at 5")
 
 
-def integral_approx_at(l: int, N: int, spec: QuadratureSpec) -> mp.mpf:
-    """Arc approximation at exactly spec.nodes nodes (no doubling check)."""
+def _arc_integral(l: int, N: int, spec: QuadratureSpec, full: bool):
+    """Arc sum at exactly spec.nodes nodes: the real value from the
+    upper half arc, or the complex value over the whole left arc."""
     _check_arc_spec(spec, l, N)
-    data = _arc_nodes(spec.nodes, spec.precision, full=False)
+    data = _arc_nodes(spec.nodes, spec.precision, full)
     with mp.workprec(spec.precision + _GUARD):
         half = l - mp.mpf(1) / 2
         terms = [
@@ -224,8 +225,15 @@ def integral_approx_at(l: int, N: int, spec: QuadratureSpec) -> mp.mpf:
         ]
         A = _pairwise_sum(terms)
         sign = 1 if l % 2 == 1 else -1
-        value = sign * 2 * A.imag / (mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5"))
-        return mp.mpf(value)
+        norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
+        if full:
+            return sign * A / (mp.mpc(0, 1) * norm)
+        return mp.mpf(sign * 2 * A.imag / norm)
+
+
+def integral_approx_at(l: int, N: int, spec: QuadratureSpec) -> mp.mpf:
+    """Arc approximation at exactly spec.nodes nodes (no doubling check)."""
+    return _arc_integral(l, N, spec, full=False)
 
 
 def integral_approx_C(l: int, N: int, spec: QuadratureSpec) -> mp.mpf:
@@ -255,17 +263,7 @@ def integral_approx_full(l: int, N: int, spec: QuadratureSpec) -> mp.mpc:
     """Same integral over the whole left arc, returned before the real
     cast.  Conjugate symmetry makes the true value real; the imaginary
     part is pure quadrature noise and a useful self-check."""
-    _check_arc_spec(spec, l, N)
-    data = _arc_nodes(spec.nodes, spec.precision, full=True)
-    with mp.workprec(spec.precision + _GUARD):
-        half = l - mp.mpf(1) / 2
-        terms = [
-            mp.exp(half * logmz + z / N + N * v) * invsq * wdz
-            for (z, wdz, logmz, invsq, v) in data
-        ]
-        A = _pairwise_sum(terms)
-        sign = 1 if l % 2 == 1 else -1
-        return sign * A / (mp.mpc(0, 1) * mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5"))
+    return _arc_integral(l, N, spec, full=True)
 
 
 def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:

@@ -2,21 +2,20 @@
 
 The product prod_{j=1}^N (1 - x^j)^{-1} has a pole of order N at x = 1,
 and the coefficients C(N, l) of its principal part sum_l C(N, l)/(x-1)^l
-are rational.  Substituting x = 1 + t turns each factor into
+are rational.  With x = 1 + t each factor is 1/(1 - (1+t)^j) =
+-1/(t a_j(t)), where a_j(t) = ((1+t)^j - 1)/t = sum_{m<j} binom(j, m+1) t^m
+has integer coefficients and a_j(0) = j.  Hence
 
-    1/(1 - (1+t)^j) = -1/(j t) * v_j(t),
+    C(N, l) = (-1)^N [t^{N-l}] prod_{j<=N} 1/a_j(t).
 
-where v_j is the reciprocal of the unit series
-w_j(t) = 1 + sum_{m=1}^{j-1} binom(j, m+1)/j * t^m.  Hence
+Dividing a truncated series q by a_j in place is the recurrence
 
-    prod_{j=1}^N (1 - x^j)^{-1} = (-1)^N / (N! t^N) * prod_{j=1}^N v_j(t),
+    q[m] <- (q[m] - sum_{k=1}^{min(m, j-1)} binom(j, k+1) q[m-k]) / j,
 
-and C(N, l) = (-1)^N/N! * [t^{N-l}] prod v_j.  Everything here is plain
-fractions.Fraction arithmetic; truncated series multiplication never
-corrupts the coefficients below the truncation order, so the results are
-exact.  A floating-point twin of the pipeline (same recurrences on
-arbitrary-precision floats) is provided as an escape hatch for ranges
-where rationals get heavy.
+for m = 0, 1, 2, ...; q[m] depends only on q[0..m], so truncation never
+corrupts the coefficients that are kept.  As a_j has integer
+coefficients, the same code runs over fractions.Fraction (exact values)
+and over mpmath floats (the twin for ranges where rationals get heavy).
 """
 
 from __future__ import annotations
@@ -29,10 +28,7 @@ from typing import Iterator
 import mpmath as mp
 
 __all__ = [
-    "RationalTaylorSeries",
     "CoefficientVector",
-    "unit_factor",
-    "series_reciprocal",
     "exact_coefficients",
     "coefficient_range",
     "float_coefficients",
@@ -44,93 +40,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class RationalTaylorSeries:
-    """Truncated Taylor series with exact rational coefficients.
-
-    coefficients[m] is the coefficient of t^m; the list always has
-    truncation_order + 1 entries and arithmetic never reads beyond it.
-    """
-
-    coefficients: tuple
-    truncation_order: int
-
-    def __post_init__(self):
-        if self.truncation_order < 0:
-            raise ValueError("truncation order must be non-negative")
-        if len(self.coefficients) != self.truncation_order + 1:
-            raise ValueError("coefficient list does not match truncation order")
-
-    @classmethod
-    def from_list(cls, coeffs, order=None):
-        coeffs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        coeffs = coeffs[: order + 1]
-        coeffs += [_ZERO] * (order + 1 - len(coeffs))
-        return cls(tuple(coeffs), order)
-
-    @classmethod
-    def one(cls, order):
-        return cls((_ONE,) + (_ZERO,) * order, order)
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalTaylorSeries):
-            return NotImplemented
-        order = min(self.truncation_order, other.truncation_order)
-        out = _mul_trunc(self.coefficients, other.coefficients, order)
-        return RationalTaylorSeries(tuple(out), order)
-
-    def reciprocal(self):
-        if self.coefficients[0] == 0:
-            raise ValueError("not a unit")
-        out = _recip_trunc(self.coefficients, self.truncation_order)
-        return RationalTaylorSeries(tuple(out), self.truncation_order)
-
-
-def _mul_trunc(p, q, order):
-    """Coefficients of p*q up to t^order (inputs indexable, Fraction-like)."""
-    out = [_ZERO] * (order + 1)
-    for i in range(min(len(p) - 1, order) + 1):
-        pi = p[i]
-        if not pi:
-            continue
-        for j in range(min(len(q) - 1, order - i) + 1):
-            if q[j]:
-                out[i + j] += pi * q[j]
-    return out
-
-
-def _recip_trunc(s, order):
-    """Coefficients of 1/s up to t^order; s[0] must be nonzero."""
-    r = [_ZERO] * (order + 1)
-    r0 = 1 / s[0]
-    r[0] = r0
-    for m in range(1, order + 1):
-        acc = _ZERO
-        for k in range(1, min(m, len(s) - 1) + 1):
-            if s[k]:
-                acc += s[k] * r[m - k]
-        r[m] = -acc * r0
-    return r
-
-
-def unit_factor(j: int, order: int) -> RationalTaylorSeries:
-    """The unit series v_j with 1/(1-(1+t)^j) = -1/(j t) * v_j(t)."""
-    if j < 1:
-        raise ValueError("j must be a positive integer")
-    w = [_ZERO] * (order + 1)
-    w[0] = _ONE
-    for m in range(1, min(j - 1, order) + 1):
-        w[m] = Fraction(math.comb(j, m + 1), j)
-    return RationalTaylorSeries(tuple(_recip_trunc(w, order)), order)
-
-
-def series_reciprocal(s: RationalTaylorSeries) -> RationalTaylorSeries:
-    """Multiplicative inverse of s up to its truncation order."""
-    return s.reciprocal()
 
 
 @dataclass(frozen=True)
@@ -150,67 +59,57 @@ class CoefficientVector:
         return self.values[l - 1]
 
 
-def _vector_from_product(N, prod):
-    sign = Fraction((-1) ** N, math.factorial(N))
-    return CoefficientVector(N, tuple(sign * prod[N - l] for l in range(1, N + 1)))
+def _sweep(n_from: int, n_to: int, one):
+    """Yield (N, values) with values[l-1] = C(N, l) for N = n_from..n_to.
+
+    q is prod_{i<=j} 1/a_i truncated at order n_to - 1; after the
+    division by a_j its entries 0..j-1 are final, which is all that
+    N = j reads.  The arithmetic is that of `one`: Fraction(1) gives
+    exact values, mp.mpf(1) floats at the caller's working precision.
+    """
+    q = [one] + [0 * one] * (n_to - 1)
+    for j in range(1, n_to + 1):
+        binoms = [math.comb(j, k + 1) for k in range(j)]
+        for m in range(n_to):
+            acc = q[m]
+            for k in range(1, min(m, j - 1) + 1):
+                acc -= binoms[k] * q[m - k]
+            q[m] = acc / j
+        if j >= n_from:
+            yield j, tuple(-q[j - l] if j % 2 else q[j - l] for l in range(1, j + 1))
+
+
+def _float_sweep(n_from: int, n_to: int, precision: int) -> list:
+    """The float twin of _sweep over N = n_from..n_to, as a list."""
+    with mp.workprec(precision + 32):
+        return list(_sweep(n_from, n_to, mp.mpf(1)))
 
 
 def exact_coefficients(N: int) -> CoefficientVector:
-    """Exact C(N, l) for l = 1..N via the unit-series product at order N-1."""
+    """Exact C(N, l) for l = 1..N."""
     if N < 1:
         raise ValueError("undefined: empty product has no pole")
-    order = N - 1
-    prod = [_ZERO] * (order + 1)
-    prod[0] = _ONE
-    for j in range(1, N + 1):
-        prod = _mul_trunc(prod, unit_factor(j, order).coefficients, order)
-    return _vector_from_product(N, prod)
+    return CoefficientVector(*next(_sweep(N, N, _ONE)))
 
 
 def coefficient_range(n_from: int, n_to: int) -> Iterator[CoefficientVector]:
-    """Yield CoefficientVector for every N in [n_from, n_to].
-
-    One running product truncated at order n_to - 1 serves all N: after
-    multiplying in v_j the coefficients 0..j-1 are final, which is all
-    the vector for N = j reads.  Cost matches a single exact_coefficients
-    call at the top of the range.
-    """
+    """Yield CoefficientVector for every N in [n_from, n_to], from one
+    pass that costs as much as exact_coefficients(n_to)."""
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
-    order = n_to - 1
-    prod = [_ZERO] * (order + 1)
-    prod[0] = _ONE
-    for j in range(1, n_to + 1):
-        prod = _mul_trunc(prod, unit_factor(j, order).coefficients, order)
-        if j >= n_from:
-            yield _vector_from_product(j, prod)
+    for N, values in _sweep(n_from, n_to, _ONE):
+        yield CoefficientVector(N, values)
 
 
 def float_coefficients(N: int, precision: int = 256):
-    """C(N, l) for l = 1..N by the same recurrences on precision-bit floats.
-
-    Escape hatch for large N where rational arithmetic gets heavy; the
-    coefficients of the unit factors are still built exactly before
-    rounding once.  Returns a tuple of mpf, values[l-1] = C(N, l).
+    """C(N, l) for l = 1..N by the exact recurrence on floats with 32
+    guard bits over precision.  Returns a tuple of mpf, values[l-1] = C(N, l).
     """
     if N < 1:
         raise ValueError("undefined: empty product has no pole")
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
-    order = N - 1
-    with mp.workprec(precision + 32):
-        zero = mp.mpf(0)
-        prod = [zero] * (order + 1)
-        prod[0] = mp.mpf(1)
-        for j in range(1, N + 1):
-            w = [zero] * (order + 1)
-            w[0] = mp.mpf(1)
-            for m in range(1, min(j - 1, order) + 1):
-                c = Fraction(math.comb(j, m + 1), j)
-                w[m] = mp.mpf(c.numerator) / c.denominator
-            prod = _mul_trunc(prod, _recip_trunc(w, order), order)
-        sign = mp.mpf((-1) ** N) / mp.factorial(N)
-        return tuple(sign * prod[N - l] for l in range(1, N + 1))
+    return _float_sweep(N, N, precision)[0][1]
 
 
 def principal_part_remainder(N: int, x: Fraction) -> Fraction:

@@ -18,9 +18,9 @@ import mpmath as mp
 
 from .contour import arc_spec, integral_approx_C
 from .exact import (
+    _float_sweep,
     coefficient_range,
     decimal_str,
-    float_coefficients,
     parse_rational,
     rational_str,
 )
@@ -43,7 +43,6 @@ __all__ = [
 
 CSV_HEADER = "N,l,exact_rational,exact_decimal,asymptotic,integral,abs_err_asym,rel_err_asym"
 
-_FORMATS = ("csv", "json", "svg")
 _MODES = ("exact", "asymptotic", "integral")
 
 
@@ -65,7 +64,6 @@ class RunConfig:
     n_from: int = 1
     n_to: int = 1
     l: int = 1
-    output_format: str = "csv"
     modes: frozenset = frozenset({"exact", "asymptotic"})
 
     def __post_init__(self):
@@ -75,8 +73,6 @@ class RunConfig:
             raise ValueError("precision must be at least 64 bits")
         if self.l < 1:
             raise ValueError("l must be a positive integer")
-        if self.output_format not in _FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if not self.modes:
             raise ValueError("modes must be nonempty")
         for m in self.modes:
@@ -111,8 +107,8 @@ def build_rows(
     """One ComparisonRow per N in [n_from, n_to] for the configured l.
 
     Exact values for the whole range come from a single incremental
-    product sweep; rows where l > N leave the exact cells empty (no such
-    coefficient exists).  float_exact switches the exact pipeline to its
+    sweep; rows where l > N leave the exact cells empty (no such
+    coefficient exists).  float_exact runs that sweep on the engine's
     high-precision floating twin, for ranges where rationals are too slow.
     """
     want_exact = "exact" in cfg.modes
@@ -122,10 +118,12 @@ def build_rows(
     if want_asym and sd is None:
         sd = saddle_constants(solve_saddle(prec), prec)
 
-    exact_vectors = {}
-    if want_exact and not float_exact:
+    exact_values = {}  # N -> (C(N, 1), ..., C(N, N))
+    if want_exact and float_exact:
+        exact_values = dict(_float_sweep(cfg.n_from, cfg.n_to, prec))
+    elif want_exact:
         for vec in coefficient_range(cfg.n_from, cfg.n_to):
-            exact_vectors[vec.N] = vec
+            exact_values[vec.N] = vec.values
 
     spec = arc_spec(nodes=integral_nodes, precision=prec) if want_int else None
 
@@ -136,10 +134,10 @@ def build_rows(
         exact_val = None
         if want_exact and cfg.l <= N:
             if float_exact:
-                exact_val = float_coefficients(N, prec)[cfg.l - 1]
+                exact_val = exact_values[N][cfg.l - 1]
                 exact_dec = mp.nstr(exact_val, 17)
             else:
-                exact_q = exact_vectors[N].coeff(cfg.l)
+                exact_q = exact_values[N][cfg.l - 1]
                 exact_dec = decimal_str(exact_q)
                 exact_val = _to_mpf(exact_q, prec + 32)
         asym = None
@@ -319,11 +317,7 @@ def figure_configs(precision: int = 256):
     over N = 100..150, and l = 1 exact-vs-integral over N = 1..70."""
     overlay = frozenset({"exact", "asymptotic"})
     return (
-        ("fig1", RunConfig(precision, 100, 150, 1, "csv", overlay), 64),
-        ("fig2", RunConfig(precision, 100, 150, 2, "csv", overlay), 64),
-        (
-            "fig3",
-            RunConfig(precision, 1, 70, 1, "csv", frozenset({"exact", "integral"})),
-            64,
-        ),
+        ("fig1", RunConfig(precision, 100, 150, 1, overlay), 64),
+        ("fig2", RunConfig(precision, 100, 150, 2, overlay), 64),
+        ("fig3", RunConfig(precision, 1, 70, 1, frozenset({"exact", "integral"})), 64),
     )

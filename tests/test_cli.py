@@ -26,6 +26,13 @@ class TestConstants:
         out = capsys.readouterr().out
         assert "1.07044683283229" in out
 
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_nonpositive_digits_is_usage_error(self, capsys, digits):
+        assert cli.main(["constants", "--digits", digits]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--digits must be at least 1" in captured.err
+
 
 class TestExact:
     def test_prints_rational_and_decimal(self, capsys):
@@ -101,6 +108,12 @@ class TestCompare:
         assert cli.main(["--format", "svg", "compare", "--from", "1", "--to", "3"]) == 2
         assert "use csv or json" in capsys.readouterr().err
 
+    def test_range_below_one_is_usage_error(self, capsys):
+        assert cli.main(["compare", "--from", "0", "--to", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need 1 <= --from <= --to, got 0..3\n"
+
     def test_unknown_mode_rejected(self, capsys):
         assert cli.main(["compare", "--modes", "exact,psychic"]) == 2
         assert "unknown mode" in capsys.readouterr().err
@@ -119,8 +132,8 @@ class TestCompare:
 def _tiny_figures(precision):
     overlay = frozenset({"exact", "asymptotic"})
     return (
-        ("figA", RunConfig(precision, 3, 8, 1, "csv", overlay), 16),
-        ("figB", RunConfig(precision, 3, 8, 1, "csv", frozenset({"exact", "integral"})), 16),
+        ("figA", RunConfig(precision, 3, 8, 1, overlay), 16),
+        ("figB", RunConfig(precision, 3, 8, 1, frozenset({"exact", "integral"})), 16),
     )
 
 
@@ -142,6 +155,12 @@ class TestFigures:
         assert "exact vs integral" in svg
         assert "<script" not in svg
 
+    def test_bad_format_is_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--format", "xml", "figures"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestDisproof:
     def test_reports_peaks_and_verdict(self, capsys):
@@ -155,6 +174,12 @@ class TestDisproof:
     def test_short_range_is_usage_error(self, capsys):
         assert cli.main(["disproof", "--from", "80", "--to", "100"]) == 2
         assert "two oscillation periods" in capsys.readouterr().err
+
+    def test_l_zero_is_usage_error(self, capsys):
+        assert cli.main(["disproof", "--from", "1", "--to", "66", "--l", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --l must be in 1..66, got 0\n"
 
 
 class TestCheck:

@@ -118,6 +118,17 @@ class TestArcIntegral:
         with mp.workprec(PREC):
             assert abs(v64 - v32) > 10 * abs(v128 - v64)
 
+    def test_error_against_exact_is_node_invariant(self, small_vectors):
+        # The 3.4% gap at N = 20 is the approximation's truncation error:
+        # doubling the nodes leaves it unchanged to 6 digits.
+        exact = _as_mpf(small_vectors[20].coeff(1))
+        with mp.workprec(PREC):
+            rel = [
+                abs(integral_approx_C(1, 20, arc_spec(nodes, PREC)) - exact) / abs(exact)
+                for nodes in (64, 128)
+            ]
+            assert mp.nstr(rel[0], 6) == mp.nstr(rel[1], 6) == "0.0342932"
+
     def test_full_arc_is_real_before_cast(self):
         full = integral_approx_full(1, 20, arc_spec(64, PREC))
         with mp.workprec(PREC):

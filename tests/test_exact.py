@@ -1,5 +1,6 @@
-"""Exact rational pipeline: series algebra, coefficients, serialization."""
+"""Exact rational pipeline: coefficients, float twin, serialization."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from radpfd.exact import (
     CoefficientVector,
-    RationalTaylorSeries,
     coefficient_range,
     decimal_str,
     exact_coefficients,
@@ -18,79 +18,11 @@ from radpfd.exact import (
     parse_rational,
     principal_part_remainder,
     rational_str,
-    series_reciprocal,
-    unit_factor,
 )
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
-
-
-def series_strategy(min_order=0, max_order=6, unit=False):
-    def build(order, coeffs):
-        cs = list(coeffs) + [Fraction(0)] * (order + 1 - len(coeffs))
-        if unit and cs[0] == 0:
-            cs[0] = Fraction(1)
-        return RationalTaylorSeries(tuple(cs[: order + 1]), order)
-
-    return st.integers(min_order, max_order).flatmap(
-        lambda order: st.lists(rationals, min_size=1, max_size=order + 1).map(
-            lambda coeffs: build(order, coeffs)
-        )
-    )
-
-
-class TestSeriesAlgebra:
-    def test_one_is_multiplicative_identity(self):
-        s = RationalTaylorSeries((Fraction(2), Fraction(-3), Fraction(5)), 2)
-        assert s * RationalTaylorSeries.one(2) == s
-
-    def test_multiplication_truncates_to_min_order(self):
-        a = RationalTaylorSeries.one(5)
-        b = RationalTaylorSeries.one(3)
-        assert (a * b).truncation_order == 3
-
-    def test_reciprocal_of_non_unit_rejected(self):
-        s = RationalTaylorSeries((Fraction(0), Fraction(1)), 1)
-        with pytest.raises(ValueError, match="not a unit"):
-            s.reciprocal()
-
-    @given(series_strategy(unit=True))
-    @settings(max_examples=60)
-    def test_reciprocal_is_right_inverse(self, s):
-        prod = s * series_reciprocal(s)
-        assert prod == RationalTaylorSeries.one(s.truncation_order)
-
-    @given(series_strategy(unit=True))
-    @settings(max_examples=60)
-    def test_reciprocal_is_involution(self, s):
-        assert series_reciprocal(series_reciprocal(s)) == s
-
-    @given(series_strategy(), series_strategy())
-    @settings(max_examples=60)
-    def test_multiplication_commutes(self, a, b):
-        assert a * b == b * a
-
-
-class TestUnitFactor:
-    def test_constant_term_is_one(self):
-        for j in (1, 2, 3, 7, 20):
-            assert unit_factor(j, 8).coefficients[0] == 1
-
-    def test_j_one_is_identity_series(self):
-        assert unit_factor(1, 6) == RationalTaylorSeries.one(6)
-
-    def test_rejects_nonpositive_j(self):
-        with pytest.raises(ValueError):
-            unit_factor(0, 4)
-
-    def test_reciprocal_recovers_binomial_coefficients(self):
-        # 1/v_j has coefficients binom(j, m+1)/j by construction.
-        j, order = 5, 4
-        w = series_reciprocal(unit_factor(j, order))
-        for m in range(order + 1):
-            assert w.coefficients[m] == Fraction(math.comb(j, m + 1), j)
 
 
 class TestCoefficients:
@@ -128,6 +60,27 @@ class TestCoefficients:
         assert isinstance(vec, CoefficientVector)
         assert len(vec.values) == 12
 
+    # sha256 over "N l p/q" lines of every C(N, l), recorded from the
+    # earlier engine that multiplied reciprocal unit series
+    SMALL_SHA256 = "1a8a364c5b44d611dab45300d83c59fa84ae27bd6a3ec2a42a15a2bcb33872c6"
+    BATCH_SHA256 = "077d194103193215de09900bf5be2c2364890d28f857a2b127a8a708262fcf53"
+
+    @staticmethod
+    def _digest(vectors):
+        h = hashlib.sha256()
+        for N in sorted(vectors):
+            for l, q in enumerate(vectors[N].values, 1):
+                h.update(f"{N} {l} {rational_str(q)}\n".encode())
+        return h.hexdigest()
+
+    def test_small_sweep_rationals_are_pinned(self, small_vectors):
+        assert sorted(small_vectors) == list(range(1, 31))
+        assert self._digest(small_vectors) == self.SMALL_SHA256
+
+    def test_batch_sweep_rationals_are_pinned(self, batch_vectors):
+        assert sorted(batch_vectors) == list(range(80, 151))
+        assert self._digest(batch_vectors) == self.BATCH_SHA256
+
 
 class TestFloatTwin:
     def test_matches_rationals_at_n_40(self):
@@ -138,6 +91,14 @@ class TestFloatTwin:
                 q = ev.coeff(l)
                 ex = mp.mpf(q.numerator) / q.denominator
                 assert abs(fv[l - 1] - ex) <= mp.mpf(2) ** (-200) * abs(ex)
+
+    def test_relative_error_bound_at_n_70(self, mid_vectors):
+        # 256 bits plus 32 guard bits: the worst l measures 2^-261.8
+        fv = float_coefficients(70, 256)
+        with mp.workprec(600):
+            for l, q in enumerate(mid_vectors[70].values, 1):
+                ex = mp.mpf(q.numerator) / q.denominator
+                assert abs(fv[l - 1] - ex) <= mp.mpf(2) ** (-240) * abs(ex)
 
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError):

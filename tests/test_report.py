@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from radpfd.exact import decimal_str
+from radpfd.exact import decimal_str, float_coefficients
 from radpfd.report import (
     CSV_HEADER,
     DisproofReport,
@@ -28,7 +28,6 @@ PREC = 256
 class TestRunConfig:
     def test_defaults_are_valid(self):
         cfg = RunConfig()
-        assert cfg.output_format == "csv"
         assert cfg.modes == frozenset({"exact", "asymptotic"})
 
     def test_rejects_empty_range(self):
@@ -42,10 +41,6 @@ class TestRunConfig:
     def test_rejects_bad_l(self):
         with pytest.raises(ValueError, match="positive"):
             RunConfig(l=0)
-
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError, match="output format"):
-            RunConfig(output_format="xml")
 
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -110,6 +105,20 @@ class TestBuildRows:
             got = mp.mpf(row.exact_decimal)
             want = mp.mpf(q.numerator) / q.denominator
             assert abs(got - want) < abs(want) * mp.mpf("1e-14")
+
+    def test_float_sweep_rows_equal_float_coefficients(self, sd):
+        # one sweep for the range gives the same mpf bits as a separate
+        # float_coefficients(N) call per row
+        for l in (1, 2, 5):
+            cfg = RunConfig(precision_bits=PREC, n_from=1, n_to=12, l=l)
+            for row in build_rows(cfg, sd, float_exact=True):
+                if row.N < l:
+                    assert row.exact_decimal == "" and row.abs_err_asym is None
+                    continue
+                want = float_coefficients(row.N, PREC)[l - 1]
+                assert row.exact_decimal == mp.nstr(want, 17)
+                with mp.workprec(PREC + 32):
+                    assert row.abs_err_asym == abs(want - row.asymptotic)
 
 
 class TestSerialization:
