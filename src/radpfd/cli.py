@@ -147,8 +147,8 @@ def cmd_constants(args) -> int:
 def cmd_exact(args) -> int:
     if args.N < 1:
         raise ValueError("N must be a positive integer")
-    if args.l > args.N:
-        raise ValueError("l exceeds N: no such coefficient")
+    if not 1 <= args.l <= args.N:
+        raise ValueError(f"--l must be in 1..{args.N}, got {args.l}: no such coefficient")
     if args.float_exact:
         value = float_coefficients(args.N, args.prec_bits)[args.l - 1]
         print(f"C({args.N}, {args.l}) = {mp.nstr(value, 17)}")
@@ -321,7 +321,7 @@ def run_checks(precision: int = 256):
             prev = cur
         add("H changes sign twice per period", flips == 2, f"flips = {flips}")
 
-    spec_small = QuadratureSpec(nodes=64, precision=128, radius=0.5, rule="trapezoid_periodic")
+    spec_small = QuadratureSpec(nodes=64, precision=128, radius=0.5)
     o1 = cauchy_oracle(1, 1, spec_small)
     add(
         "oracle hand value C(1,1) = -1",

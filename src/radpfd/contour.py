@@ -17,9 +17,10 @@ constant c with an independent quadrature check.
 
 Node positions and the expensive per-node data for the arc (dilogarithm
 values, branch logs) depend only on (node count, precision), never on
-(l, N), and are cached module-wide.  Caches are append-only dicts; a
-concurrent duplicate insert recomputes the same immutable tuple, which
-is harmless.
+(l, N), and are cached module-wide in append-only dicts.  The package
+is not thread-safe: every routine sets mpmath's process-global working
+precision through mp.workprec, so concurrent calls corrupt each other's
+arithmetic.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
 ]
 
 _GUARD = 32
-_RULES = ("gauss_legendre_composite", "trapezoid_periodic")
 
 # Relative node-doubling delta above which an arc result is flagged.
 _FLAG_REL_TOL = 1e-6
@@ -63,10 +63,13 @@ class QuadratureWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Node count, precision and circle radius of one quadrature; the
+    arc integral fixes its own rule (composite Gauss-Legendre) and the
+    Cauchy oracle its own (periodic trapezoid)."""
+
     nodes: int
     precision: int
     radius: float
-    rule: str
 
     def __post_init__(self):
         if self.nodes < 8:
@@ -75,8 +78,6 @@ class QuadratureSpec:
             raise ValueError("precision must be at least 64 bits")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if self.rule not in _RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -93,29 +94,18 @@ class MonotoneReport:
 
 def arc_spec(nodes: int = 64, precision: int = 256) -> QuadratureSpec:
     """Spec for the |z| = 5 arc integral."""
-    return QuadratureSpec(
-        nodes=nodes, precision=precision, radius=5.0, rule="gauss_legendre_composite"
-    )
+    return QuadratureSpec(nodes=nodes, precision=precision, radius=5.0)
 
 
-def oracle_spec(
-    N: int, nodes: Optional[int] = None, precision: Optional[int] = None
-) -> QuadratureSpec:
-    """Default oracle contour for a given N: radius 3/N, inside the
-    pole-free annulus, with precision growing 1.5 bits per unit N to
-    absorb the cancellation between huge node values and an O(1) result."""
+def oracle_spec(N: int, precision: Optional[int] = None) -> QuadratureSpec:
+    """Default oracle contour for a given N: 8N + 64 nodes on radius 3/N,
+    inside the pole-free annulus, with precision growing 1.5 bits per unit
+    N to absorb the cancellation between huge node values and an O(1) result."""
     if N < 1:
         raise ValueError("N must be positive")
-    if nodes is None:
-        nodes = 8 * N + 64
     if precision is None:
         precision = 64 + math.ceil(1.5 * N)
-    return QuadratureSpec(
-        nodes=nodes,
-        precision=max(64, precision),
-        radius=3.0 / N,
-        rule="trapezoid_periodic",
-    )
+    return QuadratureSpec(nodes=8 * N + 64, precision=max(64, precision), radius=3.0 / N)
 
 
 def _pairwise_sum(values):
@@ -206,8 +196,6 @@ def _arc_nodes(nodes: int, precision: int, full: bool):
 def _check_arc_spec(spec: QuadratureSpec, l: int, N: int):
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
-    if spec.rule != "gauss_legendre_composite":
-        raise ValueError("arc integral requires the gauss_legendre_composite rule")
     if spec.radius != 5.0:
         raise ValueError("arc radius is fixed at 5")
 
@@ -275,8 +263,6 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
     """
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
-    if spec.rule != "trapezoid_periodic":
-        raise ValueError("oracle requires the trapezoid_periodic rule")
     if N >= 2 and not spec.radius < 2 * math.sin(math.pi / N):
         raise ValueError("radius reaches the nearest nonzero pole of the product")
     if spec.precision < 64 + math.ceil(1.5 * N):
@@ -370,13 +356,13 @@ def constant_c(precision: int = 256) -> mp.mpf:
         return mp.mpf(total.real)
 
 
-def constant_c_euler_check(N: int = 10**4, precision: int = 128) -> mp.mpf:
+def constant_c_euler_check(precision: int = 128) -> mp.mpf:
     """Relative deviation between the closed-form c and the direct
-    quadrature of -log(1 - cos(5x/N)) over [floor(N/10), N+1], whose
-    value is -cN up to an O(1) remainder.  Small output (under 1e-3 at
-    N = 10^4) confirms both computations."""
+    quadrature of -log(1 - cos(5x/N)) over [floor(N/10), N+1] at
+    N = 10^4, whose value is -cN up to an O(1) remainder.  Small output
+    (under 1e-3) confirms both computations."""
     with mp.workprec(precision + _GUARD):
-        nn = mp.mpf(N)
+        nn = mp.mpf(10**4)
 
         def integrand(x):
             return -mp.log(1 - mp.cos(5 * x / nn))

@@ -172,23 +172,22 @@ def _cell(x) -> str:
     return mp.nstr(x, 17)
 
 
+def _cells(r) -> list:
+    """The six CSV/JSON cells of a row after N and l."""
+    return [
+        rational_str(r.exact) if r.exact is not None else "",
+        r.exact_decimal,
+        _cell(r.asymptotic),
+        _cell(r.integral),
+        _cell(r.abs_err_asym),
+        _cell(r.rel_err_asym),
+    ]
+
+
 def emit_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.N),
-                    str(r.l),
-                    rational_str(r.exact) if r.exact is not None else "",
-                    r.exact_decimal,
-                    _cell(r.asymptotic),
-                    _cell(r.integral),
-                    _cell(r.abs_err_asym),
-                    _cell(r.rel_err_asym),
-                ]
-            )
-        )
+        lines.append(",".join([str(r.N), str(r.l)] + _cells(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -225,20 +224,8 @@ def parse_csv(text: str):
 
 
 def emit_json(rows) -> str:
-    payload = []
-    for r in rows:
-        payload.append(
-            {
-                "N": r.N,
-                "l": r.l,
-                "exact_rational": rational_str(r.exact) if r.exact is not None else "",
-                "exact_decimal": r.exact_decimal,
-                "asymptotic": _cell(r.asymptotic),
-                "integral": _cell(r.integral),
-                "abs_err_asym": _cell(r.abs_err_asym),
-                "rel_err_asym": _cell(r.rel_err_asym),
-            }
-        )
+    names = CSV_HEADER.split(",")[2:]
+    payload = [{"N": r.N, "l": r.l, **dict(zip(names, _cells(r)))} for r in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .specfun import phi, phi_derivative
+from .specfun import _phi_pair, phi
 
 __all__ = [
     "SaddleData",
@@ -64,41 +64,31 @@ class AsymptoticValue:
     H_value: mp.mpf
 
 
-def solve_saddle(precision: int = 256, initial=None) -> mp.mpc:
-    """Newton iteration for the root of phi near the initial guess.
+def solve_saddle(precision: int = 256) -> mp.mpc:
+    """Newton iteration for the root of phi, started at DEFAULT_INITIAL.
 
-    The initial guess must lie within distance 1 of -1.61 + 7.42i or of
-    its conjugate (the root is simple and unique in either disk).  Fails
+    The root is simple and unique within distance 1 of the start.  Fails
     if 100 iterations do not converge or an iterate drifts more than
     distance 2 from the start.
     """
-    if initial is None:
-        initial = DEFAULT_INITIAL
     with mp.workprec(precision + _GUARD):
-        z = mp.mpc(initial)
-        near_upper = abs(z - mp.mpc(DEFAULT_INITIAL)) <= 1
-        near_lower = abs(z - mp.mpc(DEFAULT_INITIAL).conjugate()) <= 1
-        if not (near_upper or near_lower):
-            raise ValueError(
-                "initial guess outside the uniqueness disk around -1.61 + 7.42i"
-            )
-        start = z
+        z = start = mp.mpc(DEFAULT_INITIAL)
         target = mp.mpf(2) ** (-(precision - 16))
-        fz = phi(z, precision)
+        fz, dfz = _phi_pair(z, precision)
         for _ in range(100):
             if abs(fz) < target:
                 return z
-            step = fz / phi_derivative(z, precision)
+            step = fz / dfz
             # Step halving: accept only a decrease of |phi|.
             for _ in range(60):
                 cand = z - step
-                fc = phi(cand, precision)
+                fc, dfc = _phi_pair(cand, precision)
                 if abs(fc) < abs(fz):
                     break
                 step /= 2
             else:
                 raise RuntimeError("Newton stalled: no descent direction")
-            z, fz = cand, fc
+            z, fz, dfz = cand, fc, dfc
             if abs(z - start) > 2:
                 raise RuntimeError("iterate left the radius-2 disk; diverging")
         raise RuntimeError("no convergence within 100 iterations")
@@ -164,21 +154,19 @@ def asymptotic_C(l: int, N: int, sd: SaddleData) -> AsymptoticValue:
         return AsymptoticValue(N=int(N), l=int(l), main_term=mp.mpf(main), H_value=h)
 
 
-def argument_principle_count(
-    center=DEFAULT_INITIAL, radius=1.0, precision: int = 128, nodes: int = 128
-) -> int:
-    """Number of roots of phi inside the given circle.
+def argument_principle_count(precision: int = 128) -> int:
+    """Number of roots of phi in the unit disk around DEFAULT_INITIAL.
 
-    Trapezoid rule on (1/2 pi i) times the integral of phi'/phi; the
-    integrand is analytic and periodic along the circle so convergence
-    is spectral.  The result is rounded to the nearest integer.
+    Trapezoid rule with 128 nodes on (1/2 pi i) times the integral of
+    phi'/phi; the integrand is analytic and periodic along the circle so
+    convergence is spectral.  The result is rounded to the nearest integer.
     """
+    nodes = 128
     with mp.workprec(precision + _GUARD):
-        center = mp.mpc(center)
-        radius = mp.mpf(radius)
+        center = mp.mpc(DEFAULT_INITIAL)
         acc = mp.mpc(0)
         for k in range(nodes):
             w = mp.expjpi(mp.mpf(2 * k) / nodes)
-            z = center + radius * w
-            acc += phi_derivative(z, precision) / phi(z, precision) * radius * w
+            f, df = _phi_pair(center + w, precision)
+            acc += df / f * w
         return int(mp.nint((acc / nodes).real))

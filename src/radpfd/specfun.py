@@ -214,8 +214,9 @@ def _domain_check(z):
         raise ValueError("outside domain: Re z > 0")
 
 
-def phi(z, precision: int = 256) -> mp.mpc:
-    """The saddle function log(1 - e^z) + (Li2(e^z) - pi^2/6)/z."""
+def _phi_pair(z, precision):
+    """(phi(z), phi'(z)) from one dilogarithm evaluation, using
+    d/dz Li2(e^z) = -log(1 - e^z)."""
     _check_precision(precision)
     with mp.workprec(precision + _GUARD):
         z = mp.mpc(z)
@@ -228,21 +229,16 @@ def phi(z, precision: int = 256) -> mp.mpc:
             # Unreachable for Re z <= 0 (there Re(1 - e^z) >= 0); kept as
             # a branch-cut guard.
             raise ValueError("log branch cut: 1 - e^z is negative real")
-        li = _dilog_value(ez, precision)
-        return mp.log(u) + (li - _pi2_over_6()) / z
+        log_u = mp.log(u)
+        rate = _dilog_value(ez, precision) - _pi2_over_6()
+        return log_u + rate / z, -ez / u - log_u / z - rate / z**2
+
+
+def phi(z, precision: int = 256) -> mp.mpc:
+    """The saddle function log(1 - e^z) + (Li2(e^z) - pi^2/6)/z."""
+    return _phi_pair(z, precision)[0]
 
 
 def phi_derivative(z, precision: int = 256) -> mp.mpc:
-    """d/dz of phi, using d/dz Li2(e^z) = -log(1 - e^z)."""
-    _check_precision(precision)
-    with mp.workprec(precision + _GUARD):
-        z = mp.mpc(z)
-        _domain_check(z)
-        ez = mp.exp(z)
-        u = 1 - ez
-        if u == 0:
-            raise ValueError("singular: e^z = 1")
-        if u.imag == 0 and u.real < 0:
-            raise ValueError("log branch cut: 1 - e^z is negative real")
-        li = _dilog_value(ez, precision)
-        return -ez / u - mp.log(u) / z - (li - _pi2_over_6()) / z**2
+    """d/dz of phi."""
+    return _phi_pair(z, precision)[1]

@@ -60,6 +60,15 @@ class TestExact:
         assert cli.main(["exact", "--N", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("l", ["0", "-1"])
+    @pytest.mark.parametrize("float_exact", [[], ["--float-exact"]])
+    def test_nonpositive_l_is_usage_error(self, capsys, l, float_exact):
+        # l = 0 and -1 once indexed the vector from its end: C(3, 3), C(3, 2)
+        assert cli.main(["exact", "--N", "3", "--l", l] + float_exact) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no such coefficient" in captured.err
+
 
 class TestAsymptoticAndIntegral:
     def test_asymptotic_prints_main_term_and_amplitude(self, capsys):

@@ -100,6 +100,15 @@ class TestFloatTwin:
                 ex = mp.mpf(q.numerator) / q.denominator
                 assert abs(fv[l - 1] - ex) <= mp.mpf(2) ** (-240) * abs(ex)
 
+    def test_relative_error_bound_at_n_150(self, batch_vectors):
+        # the 32 guard bits stop covering the loss beyond N ~ 90: the
+        # worst l measures 2^-232.1 here
+        fv = float_coefficients(150, 256)
+        with mp.workprec(600):
+            for l, q in enumerate(batch_vectors[150].values, 1):
+                ex = mp.mpf(q.numerator) / q.denominator
+                assert abs(fv[l - 1] - ex) <= mp.mpf(2) ** (-224) * abs(ex)
+
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError):
             float_coefficients(5, 32)

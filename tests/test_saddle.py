@@ -12,6 +12,7 @@ from radpfd.saddle import (
     saddle_constants,
     solve_saddle,
 )
+import radpfd.specfun as specfun
 from radpfd.specfun import dilog, phi
 
 PREC = 256
@@ -19,6 +20,13 @@ PREC = 256
 # Reference digits, frozen from a converged high-precision solve.
 Z0_RE = "-1.6055275535489145575"
 Z0_IM = "7.4234261706250023736"
+
+# solve_saddle(256) to 90 digits; `radpfd check` prints |phi(z0)| from
+# the last bits of this root.
+Z0_90 = (
+    "(-1.60552755354891455752450112916790792150394894184969445135105407619119981041334441037297235 + "
+    "7.42342617062500237355098219449384859661233057819319424761721800085805902980634641363318105j)"
+)
 
 
 class TestSolve:
@@ -41,17 +49,6 @@ class TestSolve:
             with mp.workprec(prec + 32):
                 assert abs(phi(z, prec)) < mp.mpf(2) ** (-(prec - 16))
 
-    def test_conjugate_initial_finds_conjugate_root(self, sd):
-        with mp.workprec(PREC + 32):
-            z = solve_saddle(PREC, mp.mpc("-1.61", "-7.42"))
-            assert abs(z - mp.conj(sd.z0)) < mp.mpf(2) ** (-200)
-
-    def test_initial_outside_uniqueness_disk_rejected(self):
-        with pytest.raises(ValueError, match="uniqueness disk"):
-            solve_saddle(PREC, mp.mpc(0, 0))
-        with pytest.raises(ValueError, match="uniqueness disk"):
-            solve_saddle(PREC, mp.mpc(-1.61, 3.0))
-
     def test_stationarity_of_the_exponent_rate(self, sd):
         # The defining equation is equivalent to d/dz of the growth
         # exponent (Li2(e^z) - pi^2/6)/z vanishing at the root.
@@ -63,6 +60,42 @@ class TestSolve:
 
     def test_one_root_in_the_disk(self):
         assert argument_principle_count(precision=128) == 1
+
+    def test_pinned_root_and_residual(self, sd):
+        assert mp.nstr(sd.z0, 90) == Z0_90
+        assert mp.nstr(abs(phi(sd.z0, PREC)), 3) == "4.72e-81"
+
+    def test_precision_floor_rejected(self):
+        with pytest.raises(ValueError, match="at least 64 bits"):
+            solve_saddle(32)
+        with pytest.raises(ValueError, match="at least 64 bits"):
+            argument_principle_count(precision=32)
+
+
+class TestOneDilogPerPoint:
+    """phi and phi' at a point share one Li2(e^z) evaluation."""
+
+    @pytest.fixture
+    def dilog_args(self, monkeypatch):
+        seen = []
+        inner = specfun._dilog_value
+
+        def counting(w, precision, depth=0):
+            if depth == 0:
+                seen.append(w)
+            return inner(w, precision, depth)
+
+        monkeypatch.setattr(specfun, "_dilog_value", counting)
+        return seen
+
+    def test_newton(self, dilog_args):
+        solve_saddle(PREC)
+        assert len(dilog_args) > 1
+        assert len(set(dilog_args)) == len(dilog_args)
+
+    def test_argument_principle(self, dilog_args):
+        argument_principle_count(precision=128)
+        assert len(dilog_args) == len(set(dilog_args)) == 128
 
 
 class TestConstants:
