@@ -35,14 +35,12 @@ from .saddle import (
     argument_principle_count,
     asymptotic_C,
     saddle_constants,
-    solve_saddle,
 )
 from .contour import (
     MonotoneReport,
     OracleValue,
     QuadratureSpec,
     QuadratureWarning,
-    arc_spec,
     cauchy_oracle,
     check_lower_bound_inequality,
     check_monotone_exponent,
@@ -90,12 +88,10 @@ __all__ = [
     "argument_principle_count",
     "asymptotic_C",
     "saddle_constants",
-    "solve_saddle",
     "MonotoneReport",
     "OracleValue",
     "QuadratureSpec",
     "QuadratureWarning",
-    "arc_spec",
     "cauchy_oracle",
     "check_lower_bound_inequality",
     "check_monotone_exponent",

@@ -16,7 +16,6 @@ import mpmath as mp
 
 from .contour import (
     QuadratureSpec,
-    arc_spec,
     cauchy_oracle,
     check_lower_bound_inequality,
     check_monotone_exponent,
@@ -37,13 +36,8 @@ from .report import (
     figure_configs,
     magnitude_series,
 )
-from .saddle import (
-    H,
-    argument_principle_count,
-    asymptotic_C,
-    saddle_constants,
-    solve_saddle,
-)
+from .saddle import H, argument_principle_count, asymptotic_C, saddle_constants
+from .specfun import phi
 from .svg import line_chart
 
 __all__ = ["main", "write_figures", "run_checks"]
@@ -89,7 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integral", help="arc-integral approximation")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
-    p.add_argument("--nodes", type=int, default=64)
+    p.add_argument(
+        "--nodes", type=int, default=64, help="arc nodes: 8..16 or a multiple of 32"
+    )
     p.set_defaults(func=cmd_integral)
 
     p = sub.add_parser("compare", help="exact vs approximations over a range")
@@ -126,8 +122,7 @@ def cmd_constants(args) -> int:
     d = args.digits
     if d < 1:
         raise ValueError("--digits must be at least 1")
-    z0 = solve_saddle(prec)
-    sd = saddle_constants(z0, prec)
+    sd = saddle_constants(prec)
     with mp.workprec(prec):
         rows = [
             ("z0", mp.nstr(sd.z0, d)),
@@ -159,17 +154,16 @@ def cmd_exact(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    prec = args.prec_bits
-    sd = saddle_constants(solve_saddle(prec), prec)
-    av = asymptotic_C(args.l, args.N, sd)
+    if args.l < 1 or args.N < 1:
+        raise ValueError("l and N must be positive integers")
+    av = asymptotic_C(args.l, args.N, saddle_constants(args.prec_bits))
     print(f"asymptotic C({args.N}, {args.l}) = {mp.nstr(av.main_term, 17)}")
     print(f"H_{args.l}({args.N}) = {mp.nstr(av.H_value, 17)}")
     return 0
 
 
 def cmd_integral(args) -> int:
-    spec = arc_spec(nodes=args.nodes, precision=args.prec_bits)
-    value = integral_approx_C(args.l, args.N, spec)
+    value = integral_approx_C(args.l, args.N, args.nodes, args.prec_bits)
     print(f"integral C({args.N}, {args.l}) = {mp.nstr(value, 17)}")
     return 0
 
@@ -209,13 +203,8 @@ def write_figures(configs, out_dir: Path, emit_svg: bool):
     """Write each (stem, RunConfig, nodes) dataset to out_dir; returns paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    sd = None
     for stem, cfg, nodes in configs:
-        if "asymptotic" in cfg.modes and sd is None:
-            sd = saddle_constants(
-                solve_saddle(cfg.precision_bits), cfg.precision_bits
-            )
-        rows = build_rows(cfg, sd=sd, integral_nodes=nodes)
+        rows = build_rows(cfg, integral_nodes=nodes)
         path = out_dir / f"{stem}.csv"
         path.write_text(emit_csv(rows))
         written.append(path)
@@ -252,7 +241,7 @@ def cmd_disproof(args) -> int:
     if not 1 <= args.l <= args.n_to:
         raise ValueError(f"--l must be in 1..{args.n_to}, got {args.l}")
     prec = args.prec_bits
-    sd = saddle_constants(solve_saddle(prec), prec)
+    sd = saddle_constants(prec)
     if args.n_to - args.n_from < 2 * sd.p:
         raise ValueError("range too short: need at least two oscillation periods")
     series = magnitude_series(args.n_from, args.n_to, args.l, prec)
@@ -277,12 +266,9 @@ def run_checks(precision: int = 256):
     def add(name, ok, detail=""):
         results.append((name, bool(ok), detail))
 
-    z0 = solve_saddle(precision)
-    sd = saddle_constants(z0, precision)
-    from .specfun import phi
-
+    sd = saddle_constants(precision)
     with mp.workprec(precision + 32):
-        residual = abs(phi(z0, precision))
+        residual = abs(phi(sd.z0, precision))
         add(
             "saddle residual small",
             residual < mp.mpf(2) ** (-(precision - 16)),
@@ -362,21 +348,21 @@ def run_checks(precision: int = 256):
         dev < mp.mpf("1e-3"),
         f"relative deviation = {mp.nstr(dev, 3)}",
     )
-    full = integral_approx_full(1, 20, arc_spec(64, precision))
+    full = integral_approx_full(1, 20, 64, precision)
     add(
         "arc integral real before the cast",
         abs(full.imag) < mp.mpf(2) ** (-(precision // 2)) * max(1, abs(full)),
         f"Im = {mp.nstr(abs(full.imag), 3)}",
     )
-    v64 = integral_approx_at(1, 20, arc_spec(64, precision))
-    v128 = integral_approx_at(1, 20, arc_spec(128, precision))
+    v64 = integral_approx_at(1, 20, 64, precision)
+    v128 = integral_approx_at(1, 20, 128, precision)
     add(
         "arc quadrature stable under node doubling",
         abs(v128 - v64) < mp.mpf("1e-10") * abs(v128),
         f"relative delta = {mp.nstr(abs(v128 - v64) / abs(v128), 3)}",
     )
     exact60 = exact_coefficients(60).coeff(1)
-    v60 = integral_approx_C(1, 60, arc_spec(64, precision))
+    v60 = integral_approx_C(1, 60, 64, precision)
     with mp.workprec(precision):
         rel = abs(v60 - mp.mpf(exact60.numerator) / exact60.denominator) / abs(
             mp.mpf(exact60.numerator) / exact60.denominator

@@ -39,7 +39,6 @@ __all__ = [
     "OracleValue",
     "MonotoneReport",
     "QuadratureWarning",
-    "arc_spec",
     "oracle_spec",
     "integral_approx_at",
     "integral_approx_C",
@@ -63,9 +62,9 @@ class QuadratureWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node count, precision and circle radius of one quadrature; the
-    arc integral fixes its own rule (composite Gauss-Legendre) and the
-    Cauchy oracle its own (periodic trapezoid)."""
+    """Node count, precision and circle radius of one Cauchy-oracle
+    quadrature (periodic trapezoid rule).  The arc integral takes no
+    spec: its circle is |z| = 5 and its rule is fixed in this module."""
 
     nodes: int
     precision: int
@@ -90,11 +89,6 @@ class OracleValue:
 class MonotoneReport:
     ok: bool
     violations: tuple  # indices i where value[i+1] < value[i]
-
-
-def arc_spec(nodes: int = 64, precision: int = 256) -> QuadratureSpec:
-    """Spec for the |z| = 5 arc integral."""
-    return QuadratureSpec(nodes=nodes, precision=precision, radius=5.0)
 
 
 def oracle_spec(N: int, precision: Optional[int] = None) -> QuadratureSpec:
@@ -168,7 +162,7 @@ def _arc_nodes(nodes: int, precision: int, full: bool):
     if got is not None:
         return got
     panel_size = min(32, nodes)
-    panels = max(1, round(nodes / panel_size))
+    panels = nodes // panel_size
     rule = _legendre_rule(panel_size, precision)
     with mp.workprec(precision + _GUARD):
         lo = mp.pi / 2
@@ -193,19 +187,23 @@ def _arc_nodes(nodes: int, precision: int, full: bool):
     return result
 
 
-def _check_arc_spec(spec: QuadratureSpec, l: int, N: int):
+def _check_arc(l: int, N: int, nodes: int, precision: int):
+    """The arc lays its nodes out as one Gauss-Legendre panel of 8..32
+    nodes or as nodes/32 panels of 32; any other count is rejected."""
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
-    if spec.radius != 5.0:
-        raise ValueError("arc radius is fixed at 5")
+    if precision < 64:
+        raise ValueError("precision must be at least 64 bits")
+    if not (8 <= nodes <= 32 or (nodes > 32 and nodes % 32 == 0)):
+        raise ValueError(f"the arc takes 8..32 nodes or a multiple of 32, got {nodes}")
 
 
-def _arc_integral(l: int, N: int, spec: QuadratureSpec, full: bool):
-    """Arc sum at exactly spec.nodes nodes: the real value from the
-    upper half arc, or the complex value over the whole left arc."""
-    _check_arc_spec(spec, l, N)
-    data = _arc_nodes(spec.nodes, spec.precision, full)
-    with mp.workprec(spec.precision + _GUARD):
+def _arc_integral(l: int, N: int, nodes: int, precision: int, full: bool):
+    """Arc sum at exactly `nodes` nodes: the real value from the upper
+    half arc, or the complex value over the whole left arc."""
+    _check_arc(l, N, nodes, precision)
+    data = _arc_nodes(nodes, precision, full)
+    with mp.workprec(precision + _GUARD):
         half = l - mp.mpf(1) / 2
         terms = [
             mp.exp(half * logmz + z / N + N * v) * invsq * wdz
@@ -219,27 +217,29 @@ def _arc_integral(l: int, N: int, spec: QuadratureSpec, full: bool):
         return mp.mpf(sign * 2 * A.imag / norm)
 
 
-def integral_approx_at(l: int, N: int, spec: QuadratureSpec) -> mp.mpf:
-    """Arc approximation at exactly spec.nodes nodes (no doubling check)."""
-    return _arc_integral(l, N, spec, full=False)
+def integral_approx_at(l: int, N: int, nodes: int = 64, precision: int = 256) -> mp.mpf:
+    """Arc approximation at exactly `nodes` nodes (no doubling check)."""
+    return _arc_integral(l, N, nodes, precision, full=False)
 
 
-def integral_approx_C(l: int, N: int, spec: QuadratureSpec) -> mp.mpf:
+def integral_approx_C(l: int, N: int, nodes: int = 64, precision: int = 256) -> mp.mpf:
     """Arc approximation with an internal node-doubling convergence check.
 
-    Returns the doubled-node value; emits QuadratureWarning if doubling
-    moved the result by more than a 1e-6 relative tolerance.
+    Returns the value at 2 * nodes nodes, so both counts must be ones the
+    arc takes: 8..16 or a multiple of 32.  Emits QuadratureWarning if
+    doubling moved the result by more than a 1e-6 relative tolerance.
     """
-    coarse = integral_approx_at(l, N, spec)
-    fine = integral_approx_at(
-        l, N, arc_spec(nodes=2 * spec.nodes, precision=spec.precision)
-    )
-    with mp.workprec(spec.precision + _GUARD):
+    _check_arc(l, N, nodes, precision)
+    if 16 < nodes < 32:
+        raise ValueError(f"node doubling needs 8..16 nodes or a multiple of 32, got {nodes}")
+    coarse = integral_approx_at(l, N, nodes, precision)
+    fine = integral_approx_at(l, N, 2 * nodes, precision)
+    with mp.workprec(precision + _GUARD):
         delta = abs(fine - coarse)
-        floor = mp.mpf(2) ** (-(spec.precision // 2))
+        floor = mp.mpf(2) ** (-(precision // 2))
         if delta > _FLAG_REL_TOL * max(abs(fine), floor):
             warnings.warn(
-                f"arc quadrature not converged at {spec.nodes} nodes "
+                f"arc quadrature not converged at {nodes} nodes "
                 f"(doubling delta {mp.nstr(delta, 3)})",
                 QuadratureWarning,
                 stacklevel=2,
@@ -247,11 +247,11 @@ def integral_approx_C(l: int, N: int, spec: QuadratureSpec) -> mp.mpf:
     return fine
 
 
-def integral_approx_full(l: int, N: int, spec: QuadratureSpec) -> mp.mpc:
+def integral_approx_full(l: int, N: int, nodes: int = 64, precision: int = 256) -> mp.mpc:
     """Same integral over the whole left arc, returned before the real
     cast.  Conjugate symmetry makes the true value real; the imaginary
     part is pure quadrature noise and a useful self-check."""
-    return _arc_integral(l, N, spec, full=True)
+    return _arc_integral(l, N, nodes, precision, full=True)
 
 
 def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:

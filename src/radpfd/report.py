@@ -16,7 +16,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from .contour import arc_spec, integral_approx_C
+from .contour import integral_approx_C
 from .exact import (
     _float_sweep,
     coefficient_range,
@@ -24,7 +24,7 @@ from .exact import (
     parse_rational,
     rational_str,
 )
-from .saddle import SaddleData, asymptotic_C, saddle_constants, solve_saddle
+from .saddle import asymptotic_C, saddle_constants
 
 __all__ = [
     "ComparisonRow",
@@ -98,12 +98,7 @@ def _to_mpf(q: Fraction, precision: int) -> mp.mpf:
         return mp.mpf(q.numerator) / q.denominator
 
 
-def build_rows(
-    cfg: RunConfig,
-    sd: Optional[SaddleData] = None,
-    float_exact: bool = False,
-    integral_nodes: int = 64,
-):
+def build_rows(cfg: RunConfig, float_exact: bool = False, integral_nodes: int = 64):
     """One ComparisonRow per N in [n_from, n_to] for the configured l.
 
     Exact values for the whole range come from a single incremental
@@ -115,8 +110,7 @@ def build_rows(
     want_asym = "asymptotic" in cfg.modes
     want_int = "integral" in cfg.modes
     prec = cfg.precision_bits
-    if want_asym and sd is None:
-        sd = saddle_constants(solve_saddle(prec), prec)
+    sd = saddle_constants(prec) if want_asym else None
 
     exact_values = {}  # N -> (C(N, 1), ..., C(N, N))
     if want_exact and float_exact:
@@ -124,8 +118,6 @@ def build_rows(
     elif want_exact:
         for vec in coefficient_range(cfg.n_from, cfg.n_to):
             exact_values[vec.N] = vec.values
-
-    spec = arc_spec(nodes=integral_nodes, precision=prec) if want_int else None
 
     rows = []
     for N in range(cfg.n_from, cfg.n_to + 1):
@@ -150,7 +142,7 @@ def build_rows(
                     abs_err = abs(exact_val - asym)
                     if exact_val != 0:
                         rel_err = abs_err / abs(exact_val)
-        integ = integral_approx_C(cfg.l, N, spec) if want_int else None
+        integ = integral_approx_C(cfg.l, N, integral_nodes, prec) if want_int else None
         rows.append(
             ComparisonRow(
                 N=N,

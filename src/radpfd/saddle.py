@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .specfun import _phi_pair, phi
+from .specfun import _phi_pair
 
 __all__ = [
     "SaddleData",
     "AsymptoticValue",
-    "DEFAULT_INITIAL",
-    "solve_saddle",
     "saddle_constants",
     "H",
     "asymptotic_C",
@@ -35,7 +33,7 @@ __all__ = [
 _GUARD = 32
 
 # First displayed decimals of the root; also the uniqueness-disk center.
-DEFAULT_INITIAL = complex(-1.61, 7.42)
+_INITIAL = complex(-1.61, 7.42)
 
 
 @dataclass(frozen=True)
@@ -64,15 +62,16 @@ class AsymptoticValue:
     H_value: mp.mpf
 
 
-def solve_saddle(precision: int = 256) -> mp.mpc:
-    """Newton iteration for the root of phi, started at DEFAULT_INITIAL.
+def _solve_saddle(precision: int) -> mp.mpc:
+    """Newton iteration for the root of phi, started at _INITIAL.
 
-    The root is simple and unique within distance 1 of the start.  Fails
-    if 100 iterations do not converge or an iterate drifts more than
-    distance 2 from the start.
+    Returns only once |phi(z)| < 2^-(precision-16).  The root is simple
+    and unique within distance 1 of the start.  Fails if 100 iterations
+    do not converge or an iterate drifts more than distance 2 from the
+    start.
     """
     with mp.workprec(precision + _GUARD):
-        z = start = mp.mpc(DEFAULT_INITIAL)
+        z = start = mp.mpc(_INITIAL)
         target = mp.mpf(2) ** (-(precision - 16))
         fz, dfz = _phi_pair(z, precision)
         for _ in range(100):
@@ -94,13 +93,10 @@ def solve_saddle(precision: int = 256) -> mp.mpc:
         raise RuntimeError("no convergence within 100 iterations")
 
 
-def saddle_constants(z0, precision: int = 256) -> SaddleData:
-    """Derive the full constant set from a solved saddle point."""
+def saddle_constants(precision: int = 256) -> SaddleData:
+    """Solve for the saddle point and derive the full constant set."""
+    z0 = _solve_saddle(precision)
     with mp.workprec(precision + _GUARD):
-        z0 = mp.mpc(z0)
-        residual = abs(phi(z0, precision))
-        if residual >= mp.mpf(2) ** (-(precision - 16)):
-            raise ValueError("z0 does not satisfy the saddle equation")
         ez = mp.exp(z0)
         u = 1 - ez
         a = mp.pi / 2 - mp.arg(ez / (z0 * u)) / 2
@@ -155,7 +151,7 @@ def asymptotic_C(l: int, N: int, sd: SaddleData) -> AsymptoticValue:
 
 
 def argument_principle_count(precision: int = 128) -> int:
-    """Number of roots of phi in the unit disk around DEFAULT_INITIAL.
+    """Number of roots of phi in the unit disk around _INITIAL.
 
     Trapezoid rule with 128 nodes on (1/2 pi i) times the integral of
     phi'/phi; the integrand is analytic and periodic along the circle so
@@ -163,7 +159,7 @@ def argument_principle_count(precision: int = 128) -> int:
     """
     nodes = 128
     with mp.workprec(precision + _GUARD):
-        center = mp.mpc(DEFAULT_INITIAL)
+        center = mp.mpc(_INITIAL)
         acc = mp.mpc(0)
         for k in range(nodes):
             w = mp.expjpi(mp.mpf(2 * k) / nodes)

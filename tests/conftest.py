@@ -3,7 +3,7 @@ import time
 import pytest
 
 from radpfd.exact import coefficient_range
-from radpfd.saddle import saddle_constants, solve_saddle
+from radpfd.saddle import saddle_constants
 
 PREC = 256
 
@@ -14,7 +14,7 @@ SWEEP_SECONDS = {}
 
 @pytest.fixture(scope="session")
 def sd():
-    return saddle_constants(solve_saddle(PREC), PREC)
+    return saddle_constants(PREC)
 
 
 @pytest.fixture(scope="session")

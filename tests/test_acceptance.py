@@ -39,7 +39,6 @@ import mpmath as mp
 
 from conftest import PREC, SWEEP_SECONDS
 from radpfd.contour import (
-    arc_spec,
     cauchy_oracle,
     constant_c,
     constant_c_euler_check,
@@ -48,7 +47,7 @@ from radpfd.contour import (
 )
 from radpfd.exact import coefficient_range, exact_coefficients
 from radpfd.report import find_peaks
-from radpfd.saddle import asymptotic_C, saddle_constants, solve_saddle
+from radpfd.saddle import asymptotic_C, saddle_constants
 from radpfd.specfun import dilog, polylog_jonquiere
 
 TOL20 = mp.mpf("1e-20")
@@ -88,7 +87,7 @@ def test_c1_constants_round_to_known_digits(sd):
 
 def test_c1_runtime_under_one_second():
     start = time.monotonic()
-    sd = saddle_constants(solve_saddle(256), 256)
+    sd = saddle_constants(256)
     elapsed = time.monotonic() - start
     _report("c1 runtime", f"solve + constants at 256 bits took {elapsed:.3f} s")
     assert sd.precision == 256
@@ -268,12 +267,11 @@ def test_c6_integral_error_decreases_from_20_to_60(mid_vectors):
     # it reads 3.4% vs 4.3% instead of shrinking with N.  The same holds
     # at 64, 128 or 256 nodes, so it is not node resolution.  Kept at its
     # stated form as an honest record; expected to fail.
-    spec = arc_spec(64, PREC)
     rels = {}
     for N in (20, 60):
         exact = _mpf(mid_vectors[N].coeff(1))
         with mp.workprec(PREC):
-            rels[N] = abs(integral_approx_C(1, N, spec) - exact) / abs(exact)
+            rels[N] = abs(integral_approx_C(1, N, 64, PREC) - exact) / abs(exact)
     _report(
         "c6 error trend",
         f"relative error {mp.nstr(rels[20], 4)} at N = 20, "
@@ -285,7 +283,7 @@ def test_c6_integral_error_decreases_from_20_to_60(mid_vectors):
 def test_c6_integral_error_below_10_percent_at_60(mid_vectors):
     exact = _mpf(mid_vectors[60].coeff(1))
     with mp.workprec(PREC):
-        rel = abs(integral_approx_C(1, 60, arc_spec(64, PREC)) - exact) / abs(exact)
+        rel = abs(integral_approx_C(1, 60, 64, PREC) - exact) / abs(exact)
     _report("c6 error bound", f"relative error at N = 60 is {mp.nstr(rel, 4)}")
     assert rel < mp.mpf("0.1")
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output shapes, files, exit codes."""
 
+import hashlib
 import json
 
 import mpmath as mp
@@ -76,6 +77,25 @@ class TestAsymptoticAndIntegral:
         out = capsys.readouterr().out
         assert out.startswith("asymptotic C(100, 1) = ")
         assert "H_1(100) = " in out
+
+    @pytest.mark.parametrize("argv", [["--N", "0"], ["--N", "10", "--l", "0"]])
+    def test_asymptotic_checks_arguments_before_solving(self, capsys, monkeypatch, argv):
+        def unsolved(precision):
+            raise AssertionError("saddle solved before the arguments were checked")
+
+        monkeypatch.setattr(cli, "saddle_constants", unsolved)
+        assert cli.main(["asymptotic"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: l and N must be positive integers\n"
+
+    @pytest.mark.parametrize("nodes", ["20", "40"])
+    def test_integral_rejects_unrealized_node_count(self, capsys, nodes):
+        # 20 is one panel, but its doubled 40 is not a whole number of panels
+        assert cli.main(["integral", "--N", "20", "--nodes", nodes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "multiple of 32" in captured.err
 
     def test_integral_tracks_exact(self, capsys, small_vectors):
         assert cli.main(["integral", "--N", "20"]) == 0
@@ -189,6 +209,33 @@ class TestDisproof:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --l must be in 1..66, got 0\n"
+
+
+class TestPinnedOutputs:
+    """sha256 of whole stdout texts, recorded before the saddle and the
+    arc derived their fixed inputs; the asymptotic column of build_rows
+    is pinned nowhere else."""
+
+    THREE_MODES = ["compare", "--from", "1", "--to", "30", "--modes", "exact,asymptotic,integral"]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (THREE_MODES, "255c5ce9190dfbb6939cfb33d6c9302376c65a33fb6c0a35586b6e7734e468ce"),
+            (
+                ["--format", "json"] + THREE_MODES,
+                "dda951066e3c75a17713fa965d63c1a21a0b02e6f550d3753d84fdce58fbd860",
+            ),
+            (
+                ["constants", "--digits", "40"],
+                "54991f872f437c5ba82c635d70b020f73ed043e208174ec205bfb2bc50b3155c",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCheck:

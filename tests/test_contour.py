@@ -3,11 +3,11 @@
 import mpmath as mp
 import pytest
 
+import radpfd.contour as contour
 from radpfd.contour import (
     MonotoneReport,
     QuadratureSpec,
     QuadratureWarning,
-    arc_spec,
     cauchy_oracle,
     check_lower_bound_inequality,
     check_monotone_exponent,
@@ -40,7 +40,6 @@ class TestQuadratureSpec:
         s = oracle_spec(20)
         assert s.radius == pytest.approx(0.15)
         assert s.precision >= 64 + 30
-        assert arc_spec().radius == 5.0
 
 
 class TestCauchyOracle:
@@ -61,19 +60,16 @@ class TestCauchyOracle:
             assert abs(got.value - exact) < mp.mpf("1e-20")
 
     def test_radius_precondition(self):
-        spec = QuadratureSpec(nodes=64, precision=256, radius=0.7)
-        with pytest.raises(ValueError, match="pole"):
-            cauchy_oracle(1, 10, spec)
+        # 5.0 is the arc integral's circle, which encloses poles of the product
+        for radius in (0.7, 5.0):
+            spec = QuadratureSpec(nodes=64, precision=256, radius=radius)
+            with pytest.raises(ValueError, match="pole"):
+                cauchy_oracle(1, 10, spec)
 
     def test_precision_precondition(self):
         spec = QuadratureSpec(nodes=256, precision=64, radius=0.1)
         with pytest.raises(ValueError, match="precision too low"):
             cauchy_oracle(1, 30, spec)
-
-    def test_rule_precondition(self):
-        # the radius-5 arc spec encloses poles of the product
-        with pytest.raises(ValueError, match="pole"):
-            cauchy_oracle(1, 5, arc_spec())
 
     def test_doubling_delta_decays_spectrally(self):
         deltas = []
@@ -85,33 +81,33 @@ class TestCauchyOracle:
 
 class TestArcIntegral:
     def test_tracks_exact_at_n20(self, small_vectors):
-        v = integral_approx_C(1, 20, arc_spec(64, PREC))
+        v = integral_approx_C(1, 20, 64, PREC)
         exact = _as_mpf(small_vectors[20].coeff(1))
         with mp.workprec(PREC):
             assert abs(v - exact) / abs(exact) < mp.mpf("0.2")
 
     def test_tracks_exact_at_n60(self, mid_vectors):
-        v = integral_approx_C(1, 60, arc_spec(64, PREC))
+        v = integral_approx_C(1, 60, 64, PREC)
         exact = _as_mpf(mid_vectors[60].coeff(1))
         with mp.workprec(PREC):
             assert abs(v - exact) / abs(exact) < mp.mpf("0.1")
 
     def test_sign_against_exact_at_n5(self, small_vectors):
         # Pins the arc orientation: a flipped traversal negates the value.
-        v = integral_approx_C(1, 5, arc_spec(64, PREC))
+        v = integral_approx_C(1, 5, 64, PREC)
         exact = _as_mpf(small_vectors[5].coeff(1))
         assert (v > 0) == (exact > 0)
 
     def test_node_doubling_stable(self):
-        v64 = integral_approx_at(1, 20, arc_spec(64, PREC))
-        v128 = integral_approx_at(1, 20, arc_spec(128, PREC))
+        v64 = integral_approx_at(1, 20, 64, PREC)
+        v128 = integral_approx_at(1, 20, 128, PREC)
         with mp.workprec(PREC):
             assert abs(v128 - v64) < mp.mpf("1e-10") * abs(v128)
 
     def test_doubling_delta_decays_spectrally(self):
-        v32 = integral_approx_at(1, 20, arc_spec(32, PREC))
-        v64 = integral_approx_at(1, 20, arc_spec(64, PREC))
-        v128 = integral_approx_at(1, 20, arc_spec(128, PREC))
+        v32 = integral_approx_at(1, 20, 32, PREC)
+        v64 = integral_approx_at(1, 20, 64, PREC)
+        v128 = integral_approx_at(1, 20, 128, PREC)
         with mp.workprec(PREC):
             assert abs(v64 - v32) > 10 * abs(v128 - v64)
 
@@ -121,39 +117,67 @@ class TestArcIntegral:
         exact = _as_mpf(small_vectors[20].coeff(1))
         with mp.workprec(PREC):
             rel = [
-                abs(integral_approx_C(1, 20, arc_spec(nodes, PREC)) - exact) / abs(exact)
+                abs(integral_approx_C(1, 20, nodes, PREC) - exact) / abs(exact)
                 for nodes in (64, 128)
             ]
             assert mp.nstr(rel[0], 6) == mp.nstr(rel[1], 6) == "0.0342932"
 
     def test_full_arc_is_real_before_cast(self):
-        full = integral_approx_full(1, 20, arc_spec(64, PREC))
+        full = integral_approx_full(1, 20, 64, PREC)
         with mp.workprec(PREC):
             assert abs(full.imag) < mp.mpf(2) ** (-(PREC // 2)) * max(1, abs(full))
 
     def test_full_arc_matches_half_arc(self):
-        full = integral_approx_full(1, 20, arc_spec(128, PREC))
-        half = integral_approx_at(1, 20, arc_spec(64, PREC))
+        full = integral_approx_full(1, 20, 128, PREC)
+        half = integral_approx_at(1, 20, 64, PREC)
         with mp.workprec(PREC):
             # same node density; the two reductions agree to quadrature error
             assert abs(full.real - half) < mp.mpf("1e-15") * abs(half)
 
     def test_warns_when_not_converged(self):
         with pytest.warns(QuadratureWarning):
-            integral_approx_C(1, 60, arc_spec(8, 128))
+            integral_approx_C(1, 60, 8, 128)
 
     def test_no_warning_when_converged(self, recwarn):
-        integral_approx_C(1, 20, arc_spec(64, PREC))
+        integral_approx_C(1, 20, 64, PREC)
         assert not [w for w in recwarn.list if issubclass(w.category, QuadratureWarning)]
 
-    def test_radius_is_fixed_at_five(self):
-        spec = QuadratureSpec(nodes=64, precision=PREC, radius=4.0)
-        with pytest.raises(ValueError, match="fixed at 5"):
-            integral_approx_C(1, 10, spec)
+    @pytest.mark.parametrize("nodes", [7, 33, 40, 47, 48, 80])
+    def test_rejects_counts_the_layout_does_not_realize(self, monkeypatch, nodes):
+        # panels hold 32 nodes, so 40 once gave the 32-node value and 48 the
+        # 64-node one; now the count is refused before any node is computed
+        monkeypatch.setattr(contour, "_arc_nodes", _no_nodes)
+        with pytest.raises(ValueError, match="8..32 nodes or a multiple of 32"):
+            integral_approx_at(1, 20, nodes, PREC)
+        with pytest.raises(ValueError, match="multiple of 32"):
+            integral_approx_C(1, 20, nodes, PREC)
 
-    def test_rule_precondition(self):
-        with pytest.raises(ValueError, match="fixed at 5"):
-            integral_approx_C(1, 10, oracle_spec(10))
+    @pytest.mark.parametrize("nodes", [17, 20, 31])
+    def test_doubled_count_must_be_realized(self, monkeypatch, nodes):
+        monkeypatch.setattr(contour, "_arc_nodes", _no_nodes)
+        with pytest.raises(ValueError, match="node doubling needs 8..16 nodes"):
+            integral_approx_C(1, 20, nodes, PREC)
+
+    def test_precision_floor(self, monkeypatch):
+        monkeypatch.setattr(contour, "_arc_nodes", _no_nodes)
+        with pytest.raises(ValueError, match="at least 64 bits"):
+            integral_approx_C(1, 20, 64, 32)
+
+    def test_accepted_count_is_the_count_used(self):
+        # 96 nodes = three whole panels; each panel is one 32-point rule
+        assert len(contour._arc_nodes(96, PREC, False)) == 96
+        assert len(contour._arc_nodes(20, PREC, False)) == 20
+        v96 = integral_approx_at(1, 20, 96, PREC)
+        v64 = integral_approx_at(1, 20, 64, PREC)
+        v128 = integral_approx_at(1, 20, 128, PREC)
+        assert v96 not in (v64, v128)
+        with mp.workprec(PREC):
+            assert abs(v96 - v128) < mp.mpf("1e-10") * abs(v128)
+
+
+def _no_nodes(*args):
+    raise AssertionError("arc nodes computed for a rejected count")
+
 
 
 class TestMonotoneExponent:

@@ -50,15 +50,15 @@ class TestRunConfig:
 
 
 class TestBuildRows:
-    def test_row_per_n(self, sd):
+    def test_row_per_n(self):
         cfg = RunConfig(precision_bits=PREC, n_from=3, n_to=9, l=1)
-        rows = build_rows(cfg, sd)
+        rows = build_rows(cfg)
         assert [r.N for r in rows] == list(range(3, 10))
         assert all(r.l == 1 for r in rows)
 
     def test_cells_match_direct_computation(self, sd, small_vectors):
         cfg = RunConfig(precision_bits=PREC, n_from=5, n_to=5, l=2)
-        (row,) = build_rows(cfg, sd)
+        (row,) = build_rows(cfg)
         q = small_vectors[5].coeff(2)
         assert row.exact == q
         assert row.exact_decimal == decimal_str(q)
@@ -69,9 +69,9 @@ class TestBuildRows:
             assert abs(row.abs_err_asym - abs(exact_f - asym)) == 0
             assert row.rel_err_asym == row.abs_err_asym / abs(exact_f)
 
-    def test_l_beyond_n_leaves_exact_cells_empty(self, sd):
+    def test_l_beyond_n_leaves_exact_cells_empty(self):
         cfg = RunConfig(precision_bits=PREC, n_from=1, n_to=4, l=3)
-        rows = build_rows(cfg, sd)
+        rows = build_rows(cfg)
         for row in rows:
             if row.N < 3:
                 assert row.exact is None
@@ -96,9 +96,9 @@ class TestBuildRows:
             exact_f = mp.mpf(q.numerator) / q.denominator
             assert abs(row.integral - exact_f) < abs(exact_f) * mp.mpf("0.35")
 
-    def test_float_exact_matches_rational(self, sd, small_vectors):
+    def test_float_exact_matches_rational(self, small_vectors):
         cfg = RunConfig(precision_bits=PREC, n_from=20, n_to=20, l=1)
-        (row,) = build_rows(cfg, sd, float_exact=True)
+        (row,) = build_rows(cfg, float_exact=True)
         assert row.exact is None  # no rational kept on the float path
         q = small_vectors[20].coeff(1)
         with mp.workprec(90):
@@ -106,12 +106,12 @@ class TestBuildRows:
             want = mp.mpf(q.numerator) / q.denominator
             assert abs(got - want) < abs(want) * mp.mpf("1e-14")
 
-    def test_float_sweep_rows_equal_float_coefficients(self, sd):
+    def test_float_sweep_rows_equal_float_coefficients(self):
         # one sweep for the range gives the same mpf bits as a separate
         # float_coefficients(N) call per row
         for l in (1, 2, 5):
             cfg = RunConfig(precision_bits=PREC, n_from=1, n_to=12, l=l)
-            for row in build_rows(cfg, sd, float_exact=True):
+            for row in build_rows(cfg, float_exact=True):
                 if row.N < l:
                     assert row.exact_decimal == "" and row.abs_err_asym is None
                     continue
@@ -122,16 +122,16 @@ class TestBuildRows:
 
 
 class TestSerialization:
-    def _rows(self, sd):
+    def _rows(self):
         cfg = RunConfig(precision_bits=PREC, n_from=1, n_to=6, l=2)
-        return build_rows(cfg, sd)
+        return build_rows(cfg)
 
-    def test_csv_round_trip_is_byte_identical(self, sd):
-        text = emit_csv(self._rows(sd))
+    def test_csv_round_trip_is_byte_identical(self):
+        text = emit_csv(self._rows())
         assert emit_csv(parse_csv(text)) == text
 
-    def test_csv_header_and_shape(self, sd):
-        text = emit_csv(self._rows(sd))
+    def test_csv_header_and_shape(self):
+        text = emit_csv(self._rows())
         lines = text.strip("\n").split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 7
@@ -145,17 +145,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed"):
             parse_csv(CSV_HEADER + "\n1,1,-1/1\n")
 
-    def test_json_is_deterministic(self, sd):
-        a = emit_json(self._rows(sd))
-        b = emit_json(self._rows(sd))
+    def test_json_is_deterministic(self):
+        a = emit_json(self._rows())
+        b = emit_json(self._rows())
         assert a == b
         payload = json.loads(a)
         assert len(payload) == 6
         assert payload[0]["N"] == 1
         assert payload[4]["exact_rational"].count("/") == 1
 
-    def test_json_and_csv_agree_on_cells(self, sd):
-        rows = self._rows(sd)
+    def test_json_and_csv_agree_on_cells(self):
+        rows = self._rows()
         payload = json.loads(emit_json(rows))
         csv_lines = emit_csv(rows).strip("\n").split("\n")[1:]
         for obj, line in zip(payload, csv_lines):

@@ -10,7 +10,6 @@ from radpfd.saddle import (
     argument_principle_count,
     asymptotic_C,
     saddle_constants,
-    solve_saddle,
 )
 import radpfd.specfun as specfun
 from radpfd.specfun import dilog, phi
@@ -21,7 +20,7 @@ PREC = 256
 Z0_RE = "-1.6055275535489145575"
 Z0_IM = "7.4234261706250023736"
 
-# solve_saddle(256) to 90 digits; `radpfd check` prints |phi(z0)| from
+# saddle_constants(256).z0 to 90 digits; `radpfd check` prints |phi(z0)| from
 # the last bits of this root.
 Z0_90 = (
     "(-1.60552755354891455752450112916790792150394894184969445135105407619119981041334441037297235 + "
@@ -45,7 +44,7 @@ class TestSolve:
 
     def test_residual_ceiling_scales_with_precision(self):
         for prec in (128, 256):
-            z = solve_saddle(prec)
+            z = saddle_constants(prec).z0
             with mp.workprec(prec + 32):
                 assert abs(phi(z, prec)) < mp.mpf(2) ** (-(prec - 16))
 
@@ -67,7 +66,7 @@ class TestSolve:
 
     def test_precision_floor_rejected(self):
         with pytest.raises(ValueError, match="at least 64 bits"):
-            solve_saddle(32)
+            saddle_constants(32)
         with pytest.raises(ValueError, match="at least 64 bits"):
             argument_principle_count(precision=32)
 
@@ -89,7 +88,8 @@ class TestOneDilogPerPoint:
         return seen
 
     def test_newton(self, dilog_args):
-        solve_saddle(PREC)
+        # the constants come from Newton's last point; nothing re-evaluates Li2 there
+        saddle_constants(PREC)
         assert len(dilog_args) > 1
         assert len(set(dilog_args)) == len(dilog_args)
 
@@ -125,10 +125,6 @@ class TestConstants:
             radicand = -sd.z0 * u / (sd.rho**2 * mp.exp(sd.z0))
             assert abs(radicand.imag) < mp.mpf(2) ** (-(PREC // 2))
             assert abs(radicand.real - 1 / sd.alpha) < mp.mpf(2) ** (-(PREC - 24))
-
-    def test_rejects_non_root(self):
-        with pytest.raises(ValueError, match="saddle equation"):
-            saddle_constants(mp.mpc(-1.61, 7.42), PREC)
 
 
 class TestH:
