@@ -40,15 +40,12 @@ from .contour import (
     MonotoneReport,
     OracleValue,
     QuadratureSpec,
-    QuadratureWarning,
     cauchy_oracle,
     check_lower_bound_inequality,
     check_monotone_exponent,
     constant_c,
     constant_c_euler_check,
     integral_approx_C,
-    integral_approx_at,
-    integral_approx_full,
     oracle_spec,
 )
 from .report import (
@@ -91,15 +88,12 @@ __all__ = [
     "MonotoneReport",
     "OracleValue",
     "QuadratureSpec",
-    "QuadratureWarning",
     "cauchy_oracle",
     "check_lower_bound_inequality",
     "check_monotone_exponent",
     "constant_c",
     "constant_c_euler_check",
     "integral_approx_C",
-    "integral_approx_at",
-    "integral_approx_full",
     "oracle_spec",
     "ComparisonRow",
     "DisproofReport",

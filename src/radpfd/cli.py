@@ -16,14 +16,13 @@ import mpmath as mp
 
 from .contour import (
     QuadratureSpec,
+    _arc_integral,
     cauchy_oracle,
     check_lower_bound_inequality,
     check_monotone_exponent,
     constant_c,
     constant_c_euler_check,
-    integral_approx_at,
     integral_approx_C,
-    integral_approx_full,
     oracle_spec,
 )
 from .exact import decimal_str, exact_coefficients, float_coefficients, rational_str
@@ -83,9 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integral", help="arc-integral approximation")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
-    p.add_argument(
-        "--nodes", type=int, default=64, help="arc nodes: 8..16 or a multiple of 32"
-    )
     p.set_defaults(func=cmd_integral)
 
     p = sub.add_parser("compare", help="exact vs approximations over a range")
@@ -163,7 +159,7 @@ def cmd_asymptotic(args) -> int:
 
 
 def cmd_integral(args) -> int:
-    value = integral_approx_C(args.l, args.N, args.nodes, args.prec_bits)
+    value = integral_approx_C(args.l, args.N, args.prec_bits)
     print(f"integral C({args.N}, {args.l}) = {mp.nstr(value, 17)}")
     return 0
 
@@ -200,11 +196,12 @@ def cmd_compare(args) -> int:
 
 
 def write_figures(configs, out_dir: Path, emit_svg: bool):
-    """Write each (stem, RunConfig, nodes) dataset to out_dir; returns paths."""
+    """Write the dataset of each figure_configs() triple to out_dir;
+    returns paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for stem, cfg, nodes in configs:
-        rows = build_rows(cfg, integral_nodes=nodes)
+    for stem, cfg, _ in configs:
+        rows = build_rows(cfg)
         path = out_dir / f"{stem}.csv"
         path.write_text(emit_csv(rows))
         written.append(path)
@@ -348,21 +345,21 @@ def run_checks(precision: int = 256):
         dev < mp.mpf("1e-3"),
         f"relative deviation = {mp.nstr(dev, 3)}",
     )
-    full = integral_approx_full(1, 20, 64, precision)
+    full = _arc_integral(1, 20, 64, precision, full=True)
     add(
         "arc integral real before the cast",
         abs(full.imag) < mp.mpf(2) ** (-(precision // 2)) * max(1, abs(full)),
         f"Im = {mp.nstr(abs(full.imag), 3)}",
     )
-    v64 = integral_approx_at(1, 20, 64, precision)
-    v128 = integral_approx_at(1, 20, 128, precision)
+    v64 = _arc_integral(1, 20, 64, precision, full=False)
+    v128 = _arc_integral(1, 20, 128, precision, full=False)
     add(
         "arc quadrature stable under node doubling",
         abs(v128 - v64) < mp.mpf("1e-10") * abs(v128),
         f"relative delta = {mp.nstr(abs(v128 - v64) / abs(v128), 3)}",
     )
     exact60 = exact_coefficients(60).coeff(1)
-    v60 = integral_approx_C(1, 60, 64, precision)
+    v60 = integral_approx_C(1, 60, precision)
     with mp.workprec(precision):
         rel = abs(v60 - mp.mpf(exact60.numerator) / exact60.denominator) / abs(
             mp.mpf(exact60.numerator) / exact60.denominator

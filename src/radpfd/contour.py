@@ -6,7 +6,8 @@ approximation integrates
     (-z)^{l-1/2} / sqrt(1 - e^z) * exp(z/N + (N/z)(Li2(e^z) - pi^2/6))
 
 over the left half of the circle |z| = 5 (composite Gauss-Legendre),
-exploiting conjugate symmetry to halve the arc.  The Cauchy oracle
+exploiting conjugate symmetry to halve the arc, and doubles the node
+count until two successive counts agree.  The Cauchy oracle
 recovers the exact coefficient as (1/2 pi i) times the loop integral of
 x^{l-1} prod_{j<=N} (1 - (x+1)^j)^{-1} around a small circle inside the
 pole-free annulus (trapezoid rule, spectrally accurate).  The remaining
@@ -26,7 +27,6 @@ arithmetic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,11 +38,8 @@ __all__ = [
     "QuadratureSpec",
     "OracleValue",
     "MonotoneReport",
-    "QuadratureWarning",
     "oracle_spec",
-    "integral_approx_at",
     "integral_approx_C",
-    "integral_approx_full",
     "cauchy_oracle",
     "check_monotone_exponent",
     "check_lower_bound_inequality",
@@ -52,12 +49,11 @@ __all__ = [
 
 _GUARD = 32
 
-# Relative node-doubling delta above which an arc result is flagged.
-_FLAG_REL_TOL = 1e-6
-
-
-class QuadratureWarning(UserWarning):
-    """Raised as a warning when node doubling fails to stabilize."""
+# The arc doubles its node count from _FIRST_NODES, up to _MAX_NODES, until
+# the relative doubling delta is at most _REL_TOL.
+_FIRST_NODES = 64
+_MAX_NODES = 1024
+_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -200,7 +196,8 @@ def _check_arc(l: int, N: int, nodes: int, precision: int):
 
 def _arc_integral(l: int, N: int, nodes: int, precision: int, full: bool):
     """Arc sum at exactly `nodes` nodes: the real value from the upper
-    half arc, or the complex value over the whole left arc."""
+    half arc, or the complex value over the whole left arc, whose
+    imaginary part is quadrature noise (the true value is real)."""
     _check_arc(l, N, nodes, precision)
     data = _arc_nodes(nodes, precision, full)
     with mp.workprec(precision + _GUARD):
@@ -217,41 +214,30 @@ def _arc_integral(l: int, N: int, nodes: int, precision: int, full: bool):
         return mp.mpf(sign * 2 * A.imag / norm)
 
 
-def integral_approx_at(l: int, N: int, nodes: int = 64, precision: int = 256) -> mp.mpf:
-    """Arc approximation at exactly `nodes` nodes (no doubling check)."""
-    return _arc_integral(l, N, nodes, precision, full=False)
+def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
+    """Arc approximation at a node count found by doubling.
 
-
-def integral_approx_C(l: int, N: int, nodes: int = 64, precision: int = 256) -> mp.mpf:
-    """Arc approximation with an internal node-doubling convergence check.
-
-    Returns the value at 2 * nodes nodes, so both counts must be ones the
-    arc takes: 8..16 or a multiple of 32.  Emits QuadratureWarning if
-    doubling moved the result by more than a 1e-6 relative tolerance.
+    Evaluates at 64 and 128 nodes and doubles again while the two latest
+    values differ by more than 1e-6 relative (floor 2^-(precision/2));
+    returns the finer value of the first pair that agrees.  Raises
+    ArithmeticError when 1024 nodes still fail the test.
     """
-    _check_arc(l, N, nodes, precision)
-    if 16 < nodes < 32:
-        raise ValueError(f"node doubling needs 8..16 nodes or a multiple of 32, got {nodes}")
-    coarse = integral_approx_at(l, N, nodes, precision)
-    fine = integral_approx_at(l, N, 2 * nodes, precision)
-    with mp.workprec(precision + _GUARD):
-        delta = abs(fine - coarse)
-        floor = mp.mpf(2) ** (-(precision // 2))
-        if delta > _FLAG_REL_TOL * max(abs(fine), floor):
-            warnings.warn(
-                f"arc quadrature not converged at {nodes} nodes "
-                f"(doubling delta {mp.nstr(delta, 3)})",
-                QuadratureWarning,
-                stacklevel=2,
-            )
-    return fine
-
-
-def integral_approx_full(l: int, N: int, nodes: int = 64, precision: int = 256) -> mp.mpc:
-    """Same integral over the whole left arc, returned before the real
-    cast.  Conjugate symmetry makes the true value real; the imaginary
-    part is pure quadrature noise and a useful self-check."""
-    return _arc_integral(l, N, nodes, precision, full=True)
+    nodes = _FIRST_NODES
+    coarse = _arc_integral(l, N, nodes, precision, False)
+    while True:
+        nodes *= 2
+        fine = _arc_integral(l, N, nodes, precision, False)
+        with mp.workprec(precision + _GUARD):
+            delta = abs(fine - coarse)
+            scale = max(abs(fine), mp.mpf(2) ** (-(precision // 2)))
+            if delta <= _REL_TOL * scale:
+                return fine
+            if nodes >= _MAX_NODES:
+                raise ArithmeticError(
+                    f"arc quadrature not converged at {nodes} nodes: relative "
+                    f"doubling delta {mp.nstr(delta / scale, 3)} exceeds {_REL_TOL:g}"
+                )
+        coarse = fine
 
 
 def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:

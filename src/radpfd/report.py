@@ -98,7 +98,7 @@ def _to_mpf(q: Fraction, precision: int) -> mp.mpf:
         return mp.mpf(q.numerator) / q.denominator
 
 
-def build_rows(cfg: RunConfig, float_exact: bool = False, integral_nodes: int = 64):
+def build_rows(cfg: RunConfig, float_exact: bool = False):
     """One ComparisonRow per N in [n_from, n_to] for the configured l.
 
     Exact values for the whole range come from a single incremental
@@ -142,7 +142,7 @@ def build_rows(cfg: RunConfig, float_exact: bool = False, integral_nodes: int = 
                     abs_err = abs(exact_val - asym)
                     if exact_val != 0:
                         rel_err = abs_err / abs(exact_val)
-        integ = integral_approx_C(cfg.l, N, integral_nodes, prec) if want_int else None
+        integ = integral_approx_C(cfg.l, N, prec) if want_int else None
         rows.append(
             ComparisonRow(
                 N=N,
@@ -291,9 +291,11 @@ def magnitude_series(n_from: int, n_to: int, l: int = 1, precision: int = 256):
 
 
 def figure_configs(precision: int = 256):
-    """The three standard figure datasets as (filename stem, RunConfig,
-    integral node count) triples: l = 1 and l = 2 exact-vs-asymptotic
-    over N = 100..150, and l = 1 exact-vs-integral over N = 1..70."""
+    """The three standard figure datasets as (filename stem, RunConfig, 64)
+    triples: l = 1 and l = 2 exact-vs-asymptotic over N = 100..150, and
+    l = 1 exact-vs-integral over N = 1..70.  The arc finds its own node
+    count, so nothing reads the third field; it stays for callers that
+    unpack three fields."""
     overlay = frozenset({"exact", "asymptotic"})
     return (
         ("fig1", RunConfig(precision, 100, 150, 1, overlay), 64),

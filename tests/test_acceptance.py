@@ -271,7 +271,7 @@ def test_c6_integral_error_decreases_from_20_to_60(mid_vectors):
     for N in (20, 60):
         exact = _mpf(mid_vectors[N].coeff(1))
         with mp.workprec(PREC):
-            rels[N] = abs(integral_approx_C(1, N, 64, PREC) - exact) / abs(exact)
+            rels[N] = abs(integral_approx_C(1, N, PREC) - exact) / abs(exact)
     _report(
         "c6 error trend",
         f"relative error {mp.nstr(rels[20], 4)} at N = 20, "
@@ -283,7 +283,7 @@ def test_c6_integral_error_decreases_from_20_to_60(mid_vectors):
 def test_c6_integral_error_below_10_percent_at_60(mid_vectors):
     exact = _mpf(mid_vectors[60].coeff(1))
     with mp.workprec(PREC):
-        rel = abs(integral_approx_C(1, 60, 64, PREC) - exact) / abs(exact)
+        rel = abs(integral_approx_C(1, 60, PREC) - exact) / abs(exact)
     _report("c6 error bound", f"relative error at N = 60 is {mp.nstr(rel, 4)}")
     assert rel < mp.mpf("0.1")
 

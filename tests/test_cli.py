@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 import radpfd.cli as cli
+import radpfd.contour as contour
 from radpfd.report import RunConfig, parse_csv
 
 
@@ -89,13 +90,14 @@ class TestAsymptoticAndIntegral:
         assert captured.out == ""
         assert captured.err == "error: l and N must be positive integers\n"
 
-    @pytest.mark.parametrize("nodes", ["20", "40"])
-    def test_integral_rejects_unrealized_node_count(self, capsys, nodes):
-        # 20 is one panel, but its doubled 40 is not a whole number of panels
-        assert cli.main(["integral", "--N", "20", "--nodes", nodes]) == 2
+    def test_integral_exits_1_when_the_ladder_does_not_converge(self, capsys, monkeypatch):
+        # 128 and 256 nodes agree at N = 175, but 64 and 128 do not
+        monkeypatch.setattr(contour, "_MAX_NODES", 128)
+        assert cli.main(["integral", "--N", "175"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "multiple of 32" in captured.err
+        assert captured.err.startswith("error: arc quadrature not converged at 128 nodes")
+        assert "relative doubling delta" in captured.err
 
     def test_integral_tracks_exact(self, capsys, small_vectors):
         assert cli.main(["integral", "--N", "20"]) == 0
@@ -156,6 +158,12 @@ class TestCompare:
         )
         rows = parse_csv(capsys.readouterr().out)
         assert rows[0].integral is not None and rows[0].asymptotic is None
+
+    def test_integral_mode_doubles_nodes_past_128(self, capsys):
+        # 128 nodes gave 469.92; 256 and 512 nodes agree on 470.1144
+        argv = ["compare", "--from", "225", "--to", "225", "--modes", "integral"]
+        assert cli.main(argv) == 0
+        assert mp.nstr(parse_csv(capsys.readouterr().out)[0].integral, 7) == "470.1144"
 
 
 def _tiny_figures(precision):

@@ -7,15 +7,13 @@ import radpfd.contour as contour
 from radpfd.contour import (
     MonotoneReport,
     QuadratureSpec,
-    QuadratureWarning,
+    _arc_integral,
     cauchy_oracle,
     check_lower_bound_inequality,
     check_monotone_exponent,
     constant_c,
     constant_c_euler_check,
     integral_approx_C,
-    integral_approx_at,
-    integral_approx_full,
     oracle_spec,
 )
 
@@ -85,33 +83,33 @@ class TestCauchyOracle:
 
 class TestArcIntegral:
     def test_tracks_exact_at_n20(self, small_vectors):
-        v = integral_approx_C(1, 20, 64, PREC)
+        v = integral_approx_C(1, 20, PREC)
         exact = _as_mpf(small_vectors[20].coeff(1))
         with mp.workprec(PREC):
             assert abs(v - exact) / abs(exact) < mp.mpf("0.2")
 
     def test_tracks_exact_at_n60(self, mid_vectors):
-        v = integral_approx_C(1, 60, 64, PREC)
+        v = integral_approx_C(1, 60, PREC)
         exact = _as_mpf(mid_vectors[60].coeff(1))
         with mp.workprec(PREC):
             assert abs(v - exact) / abs(exact) < mp.mpf("0.1")
 
     def test_sign_against_exact_at_n5(self, small_vectors):
         # Pins the arc orientation: a flipped traversal negates the value.
-        v = integral_approx_C(1, 5, 64, PREC)
+        v = integral_approx_C(1, 5, PREC)
         exact = _as_mpf(small_vectors[5].coeff(1))
         assert (v > 0) == (exact > 0)
 
     def test_node_doubling_stable(self):
-        v64 = integral_approx_at(1, 20, 64, PREC)
-        v128 = integral_approx_at(1, 20, 128, PREC)
+        v64 = _arc_integral(1, 20, 64, PREC, False)
+        v128 = _arc_integral(1, 20, 128, PREC, False)
         with mp.workprec(PREC):
             assert abs(v128 - v64) < mp.mpf("1e-10") * abs(v128)
 
     def test_doubling_delta_decays_spectrally(self):
-        v32 = integral_approx_at(1, 20, 32, PREC)
-        v64 = integral_approx_at(1, 20, 64, PREC)
-        v128 = integral_approx_at(1, 20, 128, PREC)
+        v32 = _arc_integral(1, 20, 32, PREC, False)
+        v64 = _arc_integral(1, 20, 64, PREC, False)
+        v128 = _arc_integral(1, 20, 128, PREC, False)
         with mp.workprec(PREC):
             assert abs(v64 - v32) > 10 * abs(v128 - v64)
 
@@ -121,30 +119,22 @@ class TestArcIntegral:
         exact = _as_mpf(small_vectors[20].coeff(1))
         with mp.workprec(PREC):
             rel = [
-                abs(integral_approx_C(1, 20, nodes, PREC) - exact) / abs(exact)
-                for nodes in (64, 128)
+                abs(_arc_integral(1, 20, nodes, PREC, False) - exact) / abs(exact)
+                for nodes in (128, 256)
             ]
             assert mp.nstr(rel[0], 6) == mp.nstr(rel[1], 6) == "0.0342932"
 
     def test_full_arc_is_real_before_cast(self):
-        full = integral_approx_full(1, 20, 64, PREC)
+        full = _arc_integral(1, 20, 64, PREC, True)
         with mp.workprec(PREC):
             assert abs(full.imag) < mp.mpf(2) ** (-(PREC // 2)) * max(1, abs(full))
 
     def test_full_arc_matches_half_arc(self):
-        full = integral_approx_full(1, 20, 128, PREC)
-        half = integral_approx_at(1, 20, 64, PREC)
+        full = _arc_integral(1, 20, 128, PREC, True)
+        half = _arc_integral(1, 20, 64, PREC, False)
         with mp.workprec(PREC):
             # same node density; the two reductions agree to quadrature error
             assert abs(full.real - half) < mp.mpf("1e-15") * abs(half)
-
-    def test_warns_when_not_converged(self):
-        with pytest.warns(QuadratureWarning):
-            integral_approx_C(1, 60, 8, 128)
-
-    def test_no_warning_when_converged(self, recwarn):
-        integral_approx_C(1, 20, 64, PREC)
-        assert not [w for w in recwarn.list if issubclass(w.category, QuadratureWarning)]
 
     @pytest.mark.parametrize("nodes", [7, 33, 40, 47, 48, 80])
     def test_rejects_counts_the_layout_does_not_realize(self, monkeypatch, nodes):
@@ -152,28 +142,22 @@ class TestArcIntegral:
         # 64-node one; now the count is refused before any node is computed
         monkeypatch.setattr(contour, "_arc_nodes", _no_nodes)
         with pytest.raises(ValueError, match="8..32 nodes or a multiple of 32"):
-            integral_approx_at(1, 20, nodes, PREC)
-        with pytest.raises(ValueError, match="multiple of 32"):
-            integral_approx_C(1, 20, nodes, PREC)
-
-    @pytest.mark.parametrize("nodes", [17, 20, 31])
-    def test_doubled_count_must_be_realized(self, monkeypatch, nodes):
-        monkeypatch.setattr(contour, "_arc_nodes", _no_nodes)
-        with pytest.raises(ValueError, match="node doubling needs 8..16 nodes"):
-            integral_approx_C(1, 20, nodes, PREC)
+            _arc_integral(1, 20, nodes, PREC, False)
+        with pytest.raises(ValueError, match="8..32 nodes or a multiple of 32"):
+            _arc_integral(1, 20, nodes, PREC, True)
 
     def test_precision_floor(self, monkeypatch):
         monkeypatch.setattr(contour, "_arc_nodes", _no_nodes)
         with pytest.raises(ValueError, match="at least 64 bits"):
-            integral_approx_C(1, 20, 64, 32)
+            integral_approx_C(1, 20, 32)
 
     def test_accepted_count_is_the_count_used(self):
         # 96 nodes = three whole panels; each panel is one 32-point rule
         assert len(contour._arc_nodes(96, PREC, False)) == 96
         assert len(contour._arc_nodes(20, PREC, False)) == 20
-        v96 = integral_approx_at(1, 20, 96, PREC)
-        v64 = integral_approx_at(1, 20, 64, PREC)
-        v128 = integral_approx_at(1, 20, 128, PREC)
+        v96 = _arc_integral(1, 20, 96, PREC, False)
+        v64 = _arc_integral(1, 20, 64, PREC, False)
+        v128 = _arc_integral(1, 20, 128, PREC, False)
         assert v96 not in (v64, v128)
         with mp.workprec(PREC):
             assert abs(v96 - v128) < mp.mpf("1e-10") * abs(v128)
@@ -181,6 +165,36 @@ class TestArcIntegral:
 
 def _no_nodes(*args):
     raise AssertionError("arc nodes computed for a rejected count")
+
+
+class TestNodeLadder:
+    """integral_approx_C doubles 64 -> 128 -> ... -> 1024 nodes until two
+    successive counts agree to 1e-6 relative."""
+
+    def test_converged_value_past_the_first_doubling(self):
+        # 64 and 128 nodes differ by 5e12 relative at N = 225
+        got = integral_approx_C(1, 225, PREC)
+        ref = _arc_integral(1, 225, 1024, PREC, False)
+        with mp.workprec(PREC):
+            assert abs(got - ref) < mp.mpf("1e-12") * abs(ref)
+
+    @pytest.mark.parametrize("N, counts", [(100, [64, 128]), (175, [64, 128, 256])])
+    def test_stops_at_the_first_pair_that_agrees(self, monkeypatch, N, counts):
+        seen = []
+        arc_nodes = contour._arc_nodes
+
+        def spy(nodes, precision, full):
+            seen.append(nodes)
+            return arc_nodes(nodes, precision, full)
+
+        monkeypatch.setattr(contour, "_arc_nodes", spy)
+        integral_approx_C(1, N, PREC)
+        assert seen == counts
+
+    def test_raises_when_the_last_doubling_disagrees(self):
+        # 512 and 1024 nodes differ by 2.8e-3 relative at N = 425
+        with pytest.raises(ArithmeticError, match="not converged at 1024 nodes"):
+            integral_approx_C(1, 450, PREC)
 
 
 
