@@ -17,7 +17,6 @@ from .exact import (
     exact_coefficients,
     float_coefficients,
     parse_rational,
-    principal_part_remainder,
     rational_str,
 )
 from .specfun import (
@@ -25,7 +24,6 @@ from .specfun import (
     dilog,
     hurwitz_zeta,
     phi,
-    phi_derivative,
     polylog_jonquiere,
 )
 from .saddle import (
@@ -71,13 +69,11 @@ __all__ = [
     "exact_coefficients",
     "float_coefficients",
     "parse_rational",
-    "principal_part_remainder",
     "rational_str",
     "EvalResult",
     "dilog",
     "hurwitz_zeta",
     "phi",
-    "phi_derivative",
     "polylog_jonquiere",
     "AsymptoticValue",
     "SaddleData",

@@ -135,11 +135,16 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def cmd_exact(args) -> int:
+def _check_coefficient(args):
+    """Reject (N, l) unless C(N, l) exists, before any work."""
     if args.N < 1:
         raise ValueError("N must be a positive integer")
     if not 1 <= args.l <= args.N:
         raise ValueError(f"--l must be in 1..{args.N}, got {args.l}: no such coefficient")
+
+
+def cmd_exact(args) -> int:
+    _check_coefficient(args)
     if args.float_exact:
         value = float_coefficients(args.N, args.prec_bits)[args.l - 1]
         print(f"C({args.N}, {args.l}) = {mp.nstr(value, 17)}")
@@ -150,8 +155,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    if args.l < 1 or args.N < 1:
-        raise ValueError("l and N must be positive integers")
+    _check_coefficient(args)
     av = asymptotic_C(args.l, args.N, saddle_constants(args.prec_bits))
     print(f"asymptotic C({args.N}, {args.l}) = {mp.nstr(av.main_term, 17)}")
     print(f"H_{args.l}({args.N}) = {mp.nstr(av.H_value, 17)}")
@@ -159,6 +163,7 @@ def cmd_asymptotic(args) -> int:
 
 
 def cmd_integral(args) -> int:
+    _check_coefficient(args)
     value = integral_approx_C(args.l, args.N, args.prec_bits)
     print(f"integral C({args.N}, {args.l}) = {mp.nstr(value, 17)}")
     return 0

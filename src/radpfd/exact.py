@@ -32,13 +32,11 @@ __all__ = [
     "exact_coefficients",
     "coefficient_range",
     "float_coefficients",
-    "principal_part_remainder",
     "rational_str",
     "parse_rational",
     "decimal_str",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -114,27 +112,6 @@ def float_coefficients(N: int, precision: int = 256):
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
     return _float_sweep(N, N, precision)[0][1]
-
-
-def principal_part_remainder(N: int, x: Fraction) -> Fraction:
-    """prod_{j<=N} (1-x^j)^{-1} minus its principal part at x = 1, exactly.
-
-    The difference is analytic at x = 1, which the callers probe by
-    evaluating at rational points x = 1 + eps.
-    """
-    x = Fraction(x)
-    if x == 1:
-        raise ValueError("pole input: x = 1")
-    if x == -1 and N >= 2:
-        raise ValueError("pole input: x = -1 is a root of 1 - x^2")
-    f = _ONE
-    for j in range(1, N + 1):
-        f /= 1 - x**j
-    vec = exact_coefficients(N)
-    pp = _ZERO
-    for l in range(1, N + 1):
-        pp += vec.coeff(l) / (x - 1) ** l
-    return f - pp
 
 
 def rational_str(q: Fraction) -> str:

@@ -25,7 +25,6 @@ __all__ = [
     "hurwitz_zeta",
     "polylog_jonquiere",
     "phi",
-    "phi_derivative",
 ]
 
 _GUARD = 32
@@ -237,8 +236,3 @@ def _phi_pair(z, precision):
 def phi(z, precision: int = 256) -> mp.mpc:
     """The saddle function log(1 - e^z) + (Li2(e^z) - pi^2/6)/z."""
     return _phi_pair(z, precision)[0]
-
-
-def phi_derivative(z, precision: int = 256) -> mp.mpc:
-    """d/dz of phi."""
-    return _phi_pair(z, precision)[1]

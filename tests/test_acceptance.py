@@ -25,6 +25,10 @@ because the honest record is worth more than a green checkmark:
   so it reads 3.4% at N = 20 and 4.3% at N = 60 rather than shrinking
   with N.  It is not quadrature error: the error agrees to 8 digits at
   64, 128 and 256 nodes (0.034293176 at N = 20, 0.043434349 at N = 60).
+  The flat offset holds to about N = 100 (-0.0090 there).  Beyond that
+  the converged arc's error oscillates and grows: -0.026 at N = 150,
+  +0.18 at N = 200, -2.5 at N = 250 and +26 at N = 300, between 0.1% and
+  1.5% of |C(N, 1)| over N = 150..300.
 
 test_c5_peak_spacing_near_32 measures the period p = 31.96 on the signed
 exact C(N, 1), between successive crests and between successive troughs,

@@ -72,6 +72,14 @@ class TestExact:
         assert "no such coefficient" in captured.err
 
 
+# (N, l) pairs that name no coefficient, with the usage error each gets
+_NO_COEFFICIENT = {
+    ("--N", "0"): "error: N must be a positive integer\n",
+    ("--N", "10", "--l", "0"): "error: --l must be in 1..10, got 0: no such coefficient\n",
+    ("--N", "3", "--l", "5"): "error: --l must be in 1..3, got 5: no such coefficient\n",
+}
+
+
 class TestAsymptoticAndIntegral:
     def test_asymptotic_prints_main_term_and_amplitude(self, capsys):
         assert cli.main(["asymptotic", "--N", "100"]) == 0
@@ -79,7 +87,7 @@ class TestAsymptoticAndIntegral:
         assert out.startswith("asymptotic C(100, 1) = ")
         assert "H_1(100) = " in out
 
-    @pytest.mark.parametrize("argv", [["--N", "0"], ["--N", "10", "--l", "0"]])
+    @pytest.mark.parametrize("argv", [list(argv) for argv in _NO_COEFFICIENT])
     def test_asymptotic_checks_arguments_before_solving(self, capsys, monkeypatch, argv):
         def unsolved(precision):
             raise AssertionError("saddle solved before the arguments were checked")
@@ -88,7 +96,18 @@ class TestAsymptoticAndIntegral:
         assert cli.main(["asymptotic"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: l and N must be positive integers\n"
+        assert captured.err == _NO_COEFFICIENT[tuple(argv)]
+
+    @pytest.mark.parametrize("argv", [list(argv) for argv in _NO_COEFFICIENT])
+    def test_integral_checks_arguments_before_any_node(self, capsys, monkeypatch, argv):
+        def no_nodes(*args):
+            raise AssertionError("arc nodes computed before the arguments were checked")
+
+        monkeypatch.setattr(contour, "_arc_nodes", no_nodes)
+        assert cli.main(["integral"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == _NO_COEFFICIENT[tuple(argv)]
 
     def test_integral_exits_1_when_the_ladder_does_not_converge(self, capsys, monkeypatch):
         # 128 and 256 nodes agree at N = 175, but 64 and 128 do not
@@ -160,7 +179,7 @@ class TestCompare:
         assert rows[0].integral is not None and rows[0].asymptotic is None
 
     def test_integral_mode_doubles_nodes_past_128(self, capsys):
-        # 128 nodes gave 469.92; 256 and 512 nodes agree on 470.1144
+        # 128 nodes give 469.92; 256 and 512 nodes agree on 470.1144
         argv = ["compare", "--from", "225", "--to", "225", "--modes", "integral"]
         assert cli.main(argv) == 0
         assert mp.nstr(parse_csv(capsys.readouterr().out)[0].integral, 7) == "470.1144"
@@ -221,8 +240,9 @@ class TestDisproof:
 
 class TestPinnedOutputs:
     """sha256 of whole stdout texts, recorded before the saddle and the
-    arc derived their fixed inputs; the asymptotic column of build_rows
-    is pinned nowhere else."""
+    arc derived their fixed inputs (the integral lines: before the arc
+    found its own node count); the asymptotic column of build_rows is
+    pinned nowhere else."""
 
     THREE_MODES = ["compare", "--from", "1", "--to", "30", "--modes", "exact,asymptotic,integral"]
 
@@ -237,6 +257,14 @@ class TestPinnedOutputs:
             (
                 ["constants", "--digits", "40"],
                 "54991f872f437c5ba82c635d70b020f73ed043e208174ec205bfb2bc50b3155c",
+            ),
+            (
+                ["integral", "--N", "20"],
+                "9a943b27da0192f8e9e467175b4f31c07b36ecffc9f8a0ca041165578cbbea7c",
+            ),
+            (
+                ["integral", "--N", "88", "--l", "3"],
+                "1210fec980adcf8b14b467fd9d7476ae938c8fa2c3963b6da233d195509e1253",
             ),
         ],
     )
@@ -254,3 +282,6 @@ class TestCheck:
         n = len([line for line in out.strip().split("\n") if line.startswith("PASS")])
         assert out.strip().endswith(f"{n}/{n} checks passed")
         assert n >= 15
+        # recorded before the arc found its own node count
+        digest = "7056e017c8d2d183373d12ff3761d120b41395b6a9d60fb32677e51ad79e3559"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

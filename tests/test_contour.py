@@ -192,7 +192,7 @@ class TestNodeLadder:
         assert seen == counts
 
     def test_raises_when_the_last_doubling_disagrees(self):
-        # 512 and 1024 nodes differ by 2.8e-3 relative at N = 425
+        # 512 and 1024 nodes differ by 4.75 relative at N = 450
         with pytest.raises(ArithmeticError, match="not converged at 1024 nodes"):
             integral_approx_C(1, 450, PREC)
 
