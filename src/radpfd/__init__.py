@@ -10,97 +10,13 @@ and a contour integral) and ships the comparison and peak-growth reports
 that make the divergence visible.
 """
 
-from .exact import (
-    CoefficientVector,
-    coefficient_range,
-    decimal_str,
-    exact_coefficients,
-    float_coefficients,
-    parse_rational,
-    rational_str,
-)
-from .specfun import (
-    EvalResult,
-    dilog,
-    hurwitz_zeta,
-    phi,
-    polylog_jonquiere,
-)
-from .saddle import (
-    AsymptoticValue,
-    SaddleData,
-    H,
-    argument_principle_count,
-    asymptotic_C,
-    saddle_constants,
-)
-from .contour import (
-    MonotoneReport,
-    OracleValue,
-    QuadratureSpec,
-    cauchy_oracle,
-    check_lower_bound_inequality,
-    check_monotone_exponent,
-    constant_c,
-    constant_c_euler_check,
-    integral_approx_C,
-    oracle_spec,
-)
-from .report import (
-    ComparisonRow,
-    DisproofReport,
-    RunConfig,
-    analyze_divergence,
-    build_rows,
-    emit_csv,
-    emit_json,
-    figure_configs,
-    find_peaks,
-    magnitude_series,
-    parse_csv,
-)
+from . import exact, specfun, saddle, contour, report
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientVector",
-    "coefficient_range",
-    "decimal_str",
-    "exact_coefficients",
-    "float_coefficients",
-    "parse_rational",
-    "rational_str",
-    "EvalResult",
-    "dilog",
-    "hurwitz_zeta",
-    "phi",
-    "polylog_jonquiere",
-    "AsymptoticValue",
-    "SaddleData",
-    "H",
-    "argument_principle_count",
-    "asymptotic_C",
-    "saddle_constants",
-    "MonotoneReport",
-    "OracleValue",
-    "QuadratureSpec",
-    "cauchy_oracle",
-    "check_lower_bound_inequality",
-    "check_monotone_exponent",
-    "constant_c",
-    "constant_c_euler_check",
-    "integral_approx_C",
-    "oracle_spec",
-    "ComparisonRow",
-    "DisproofReport",
-    "RunConfig",
-    "analyze_divergence",
-    "build_rows",
-    "emit_csv",
-    "emit_json",
-    "figure_configs",
-    "find_peaks",
-    "magnitude_series",
-    "parse_csv",
-    "__version__",
-]
+# the package re-exports what each layer module lists in its own __all__
+__all__ = ["__version__"]
+for _layer in (exact, specfun, saddle, contour, report):
+    __all__ += _layer.__all__
+    globals().update((name, getattr(_layer, name)) for name in _layer.__all__)
+del _layer

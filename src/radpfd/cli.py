@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: constants, exact, asymptotic, integral, compare, figures,
-disproof, check.  Global flags pick the precision in mantissa bits, the
-output format, and an output directory.  Exit status is 0 on success,
-1 when a computation or witness check fails, 2 on usage errors.
+disproof, check.  The global flag --prec-bits picks the precision in
+mantissa bits; compare and figures, the two that write tables or files,
+also take --format and --out.  Exit status is 0 on success, 1 when a
+computation or witness check fails, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -47,6 +49,11 @@ def _add_range(p, n_from: int, n_to: int):
     p.add_argument("--to", dest="n_to", type=int, default=n_to, metavar="N")
 
 
+def _add_output(p, formats):
+    p.add_argument("--format", choices=formats, default="csv", help="output format")
+    p.add_argument("--out", type=Path, default=None, help="output directory")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="radpfd",
@@ -54,10 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "exact values, saddle-point asymptotics, contour integrals.",
     )
     top.add_argument("--prec-bits", type=int, default=256, help="working precision")
-    top.add_argument(
-        "--format", choices=("csv", "json", "svg"), default="csv", help="output format"
-    )
-    top.add_argument("--out", type=Path, default=None, help="output directory")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="saddle point and derived constants")
@@ -93,9 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of exact,asymptotic,integral",
     )
     p.add_argument("--float-exact", action="store_true")
+    _add_output(p, ("csv", "json"))
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figures", help="emit the standard comparison datasets")
+    _add_output(p, ("csv", "svg"))
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("disproof", help="peak growth analysis over a range")
@@ -118,6 +123,9 @@ def cmd_constants(args) -> int:
     d = args.digits
     if d < 1:
         raise ValueError("--digits must be at least 1")
+    carried = math.floor(prec * math.log10(2)) - 1
+    if d > carried:
+        raise ValueError(f"--digits must be at most {carried} at {prec} bits")
     sd = saddle_constants(prec)
     with mp.workprec(prec):
         rows = [
@@ -170,8 +178,6 @@ def cmd_integral(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.format == "svg":
-        raise ValueError("compare emits tables; use csv or json")
     _check_range(args)
     modes = frozenset(m.strip() for m in args.modes.split(",") if m.strip())
     cfg = RunConfig(
@@ -244,7 +250,8 @@ def cmd_disproof(args) -> int:
         raise ValueError(f"--l must be in 1..{args.n_to}, got {args.l}")
     prec = args.prec_bits
     sd = saddle_constants(prec)
-    if args.n_to - args.n_from < 2 * sd.p:
+    # magnitude_series starts at max(--from, --l): check that span before sweeping
+    if args.n_to - max(args.n_from, args.l) < 2 * sd.p:
         raise ValueError("range too short: need at least two oscillation periods")
     series = magnitude_series(args.n_from, args.n_to, args.l, prec)
     rep = analyze_divergence(series, b=sd.b, p=sd.p, l=args.l)

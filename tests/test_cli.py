@@ -9,6 +9,7 @@ import pytest
 import radpfd.cli as cli
 import radpfd.contour as contour
 from radpfd.report import RunConfig, parse_csv
+from radpfd.saddle import saddle_constants
 
 
 class TestConstants:
@@ -34,6 +35,42 @@ class TestConstants:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--digits must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("prec, digits", [(64, 18), (128, 37), (256, 76)])
+    def test_digits_are_carried_by_the_precision(self, capsys, prec, digits):
+        # every printed value within one unit in its last place of the 2*prec solve
+        argv = ["--prec-bits", str(prec), "constants", "--digits"]
+        assert cli.main(argv + [str(digits)]) == 0
+        out = capsys.readouterr().out
+        ref = saddle_constants(2 * prec)
+        with mp.workprec(2 * prec):
+            want = {
+                "z0": ref.z0,
+                "a": ref.a,
+                "rho": ref.rho,
+                "b": ref.b,
+                "theta": ref.theta,
+                "p": ref.p,
+                "alpha": ref.alpha,
+                "b^p": ref.b**ref.p,
+            }
+            for line in out.splitlines():
+                name, text = (part.strip() for part in line.split("="))
+                exact = want.pop(name)
+                if isinstance(exact, mp.mpc):
+                    re_text, sign, im_text = text.strip("()j").split(" ")
+                    pairs = [(re_text, exact.real), (sign + im_text, exact.imag)]
+                else:
+                    pairs = [(text, exact)]
+                for printed, value in pairs:
+                    ulp = mp.mpf(10) ** (mp.floor(mp.log10(abs(value))) - digits + 1)
+                    assert abs(mp.mpf(printed) - value) <= ulp, (name, printed)
+            assert not want
+
+        assert cli.main(argv + [str(digits + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --digits must be at most {digits} at {prec} bits\n"
 
 
 class TestExact:
@@ -136,12 +173,12 @@ class TestCompare:
         assert rows[0].asymptotic is not None
 
     def test_json_format(self, capsys):
-        assert cli.main(["--format", "json", "compare", "--from", "2", "--to", "4"]) == 0
+        assert cli.main(["compare", "--from", "2", "--to", "4", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [row["N"] for row in payload] == [2, 3, 4]
 
     def test_out_dir_writes_file(self, capsys, tmp_path):
-        assert cli.main(["--out", str(tmp_path), "compare", "--from", "1", "--to", "3"]) == 0
+        assert cli.main(["compare", "--from", "1", "--to", "3", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out.strip()
         path = tmp_path / "compare.csv"
         assert out == str(path)
@@ -155,8 +192,10 @@ class TestCompare:
         assert rows[0].exact is None and rows[4].exact is not None
 
     def test_svg_format_rejected(self, capsys):
-        assert cli.main(["--format", "svg", "compare", "--from", "1", "--to", "3"]) == 2
-        assert "use csv or json" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compare", "--from", "1", "--to", "3", "--format", "svg"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_range_below_one_is_usage_error(self, capsys):
         assert cli.main(["compare", "--from", "0", "--to", "3"]) == 2
@@ -196,7 +235,7 @@ def _tiny_figures(precision):
 class TestFigures:
     def test_writes_csv_datasets(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "figure_configs", _tiny_figures)
-        assert cli.main(["--out", str(tmp_path), "figures"]) == 0
+        assert cli.main(["figures", "--out", str(tmp_path)]) == 0
         printed = capsys.readouterr().out.strip().split("\n")
         assert printed == [str(tmp_path / "figA.csv"), str(tmp_path / "figB.csv")]
         rows = parse_csv((tmp_path / "figA.csv").read_text())
@@ -204,7 +243,7 @@ class TestFigures:
 
     def test_svg_format_adds_charts(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "figure_configs", _tiny_figures)
-        assert cli.main(["--format", "svg", "--out", str(tmp_path), "figures"]) == 0
+        assert cli.main(["figures", "--format", "svg", "--out", str(tmp_path)]) == 0
         svg = (tmp_path / "figB.svg").read_text()
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 2
@@ -213,7 +252,7 @@ class TestFigures:
 
     def test_bad_format_is_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["--format", "xml", "figures"])
+            cli.main(["figures", "--format", "xml"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
@@ -231,11 +270,62 @@ class TestDisproof:
         assert cli.main(["disproof", "--from", "80", "--to", "100"]) == 2
         assert "two oscillation periods" in capsys.readouterr().err
 
+    def test_checks_analysed_span_before_sweeping(self, capsys, monkeypatch):
+        # the series starts at max(--from, --l) = 100: 50 < 2p, though 150 - 80 is not
+        def unswept(*args):
+            raise AssertionError("swept before the span was checked")
+
+        monkeypatch.setattr(cli, "magnitude_series", unswept)
+        assert cli.main(["disproof", "--from", "80", "--to", "150", "--l", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "two oscillation periods" in captured.err
+
     def test_l_zero_is_usage_error(self, capsys):
         assert cli.main(["disproof", "--from", "1", "--to", "66", "--l", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --l must be in 1..66, got 0\n"
+
+
+# the six subcommands that print to stdout and write no file
+_STDOUT_ONLY = [
+    ["constants"],
+    ["exact", "--N", "3"],
+    ["asymptotic", "--N", "3"],
+    ["integral", "--N", "3"],
+    ["disproof"],
+    ["check"],
+]
+
+
+class TestOutputFlags:
+    """--format and --out belong to compare and figures only; argparse
+    rejects them on every other subcommand, before or after its name."""
+
+    @pytest.mark.parametrize("command", _STDOUT_ONLY, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag", ["--format", "--out"])
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_rejected_where_nothing_is_written(self, capsys, tmp_path, command, flag, before):
+        out_dir = tmp_path / "out"
+        option = [flag, "json" if flag == "--format" else str(out_dir)]
+        argv = option + command if before else command + option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["figures", "--format", "json"], ["--format", "json", "figures"]]
+    )
+    def test_figures_rejects_json(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPinnedOutputs:
@@ -251,7 +341,7 @@ class TestPinnedOutputs:
         [
             (THREE_MODES, "255c5ce9190dfbb6939cfb33d6c9302376c65a33fb6c0a35586b6e7734e468ce"),
             (
-                ["--format", "json"] + THREE_MODES,
+                THREE_MODES + ["--format", "json"],
                 "dda951066e3c75a17713fa965d63c1a21a0b02e6f550d3753d84fdce58fbd860",
             ),
             (
