@@ -121,6 +121,8 @@ def _check_range(args):
 def cmd_constants(args) -> int:
     prec = args.prec_bits
     d = args.digits
+    if prec < 64:
+        raise ValueError("precision must be at least 64 bits")
     if d < 1:
         raise ValueError("--digits must be at least 1")
     carried = math.floor(prec * math.log10(2)) - 1

@@ -16,6 +16,21 @@ for m = 0, 1, 2, ...; q[m] depends only on q[0..m], so truncation never
 corrupts the coefficients that are kept.  As a_j has integer
 coefficients, the same code runs over fractions.Fraction (exact values)
 and over mpmath floats (the twin for ranges where rationals get heavy).
+
+Dividing by a_1..a_n costs O(order * n^2) steps.  The exact path can
+instead start from the product itself, in O(order^2) steps, through
+power sums (a log/exp start).  With s = log(1+t) and
+lambda(x) = log((e^x - 1)/x) = x/2 + sum_k B_2k x^2k / (2k (2k)!),
+
+    log(a_j/j) = lambda(j s) - lambda(s),
+
+so log(n! prod_{j<=n} 1/a_j) has [s^1] = -(S_1(n) - n)/2 and
+[s^2k] = -B_2k (S_2k(n) - n) / (2k (2k)!), with S_k(n) = sum_{j<=n} j^k.
+The signed Stirling numbers of the first kind turn s^k into powers of t,
+and one series exp (e_m = (1/m) sum_k k g_k e_{m-k}) gives the product.
+exact_coefficients(N) is that start alone.  coefficient_range starts
+from it where it is cheaper than the divisions it replaces, and divides
+for every later j; the float twin always starts from 1.
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -57,22 +73,52 @@ class CoefficientVector:
         return self.values[l - 1]
 
 
-def _sweep(n_from: int, n_to: int, one):
+def _logexp(n: int, order: int) -> list:
+    """prod_{j<=n} 1/a_j(t) truncated at t^(order-1), as Fractions, from
+    the power sums of 1..n (the log/exp start of the module docstring)."""
+    # w[k] = k! [s^k] log(n! prod 1/a_j); zero at odd k >= 3
+    w = [_ZERO] * order
+    if order > 1:
+        w[1] = Fraction(n - n * (n + 1) // 2, 2)
+    squares = [j * j for j in range(1, n + 1)]
+    powers = squares
+    for k in range(2, order, 2):
+        w[k] = -Fraction(*mp.bernfrac(k)) * (sum(powers) - n) / k
+        powers = [p * sq for p, sq in zip(powers, squares)]
+    # s^k = k! sum_m s(m, k) t^m / m!, so m [t^m] = sum_k w[k] s(m, k) / (m-1)!
+    kg = [_ZERO] * order
+    stirling = [1]  # s(m, k) for k = 0..m
+    for m in range(1, order):
+        stirling = [0] + stirling
+        for k in range(1, m):
+            stirling[k] -= (m - 1) * stirling[k + 1]
+        terms = (w[k] * stirling[k] for k in range(2, m + 1, 2))
+        kg[m] = sum(terms, w[1] * stirling[1]) / math.factorial(m - 1)
+    e = [Fraction(1, math.factorial(n))] + [_ZERO] * (order - 1)
+    for m in range(1, order):
+        e[m] = sum((kg[k] * e[m - k] for k in range(1, m + 1)), _ZERO) / m
+    return e
+
+
+def _sweep(n_from: int, n_to: int, one, start: int = 0):
     """Yield (N, values) with values[l-1] = C(N, l) for N = n_from..n_to.
 
     q is prod_{i<=j} 1/a_i truncated at order n_to - 1; after the
     division by a_j its entries 0..j-1 are final, which is all that
-    N = j reads.  The arithmetic is that of `one`: Fraction(1) gives
-    exact values, mp.mpf(1) floats at the caller's working precision.
+    N = j reads.  q starts at j = start: as the series 1 for start = 0,
+    else (1 <= start <= n_from, Fraction only) as _logexp(start, n_to).
+    The arithmetic is that of `one`: Fraction(1) gives exact values,
+    mp.mpf(1) floats at the caller's working precision.
     """
-    q = [one] + [0 * one] * (n_to - 1)
-    for j in range(1, n_to + 1):
-        binoms = [math.comb(j, k + 1) for k in range(j)]
-        for m in range(n_to):
-            acc = q[m]
-            for k in range(1, min(m, j - 1) + 1):
-                acc -= binoms[k] * q[m - k]
-            q[m] = acc / j
+    q = _logexp(start, n_to) if start else [one] + [0 * one] * (n_to - 1)
+    for j in range(start, n_to + 1):
+        if j > start:
+            binoms = [math.comb(j, k + 1) for k in range(j)]
+            for m in range(n_to):
+                acc = q[m]
+                for k in range(1, min(m, j - 1) + 1):
+                    acc -= binoms[k] * q[m - k]
+                q[m] = acc / j
         if j >= n_from:
             yield j, tuple(-q[j - l] if j % 2 else q[j - l] for l in range(1, j + 1))
 
@@ -87,15 +133,21 @@ def exact_coefficients(N: int) -> CoefficientVector:
     """Exact C(N, l) for l = 1..N."""
     if N < 1:
         raise ValueError("undefined: empty product has no pole")
-    return CoefficientVector(*next(_sweep(N, N, _ONE)))
+    return CoefficientVector(*next(_sweep(N, N, _ONE, N)))
 
 
 def coefficient_range(n_from: int, n_to: int) -> Iterator[CoefficientVector]:
     """Yield CoefficientVector for every N in [n_from, n_to], from one
-    pass that costs as much as exact_coefficients(n_to)."""
+    pass that divides by a_j for each j <= n_to it does not start past.
+
+    Dividing up to n_from costs about n_to * n_from^2 / 2 steps and the
+    log/exp start about 3 * n_to^2 / 2, so the pass starts at n_from
+    from log/exp when n_from^2 > 3 * n_to, and from 1 otherwise.
+    """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
-    for N, values in _sweep(n_from, n_to, _ONE):
+    start = n_from if n_from**2 > 3 * n_to else 0
+    for N, values in _sweep(n_from, n_to, _ONE, start):
         yield CoefficientVector(N, values)
 
 

@@ -72,6 +72,12 @@ class TestConstants:
         assert captured.out == ""
         assert captured.err == f"error: --digits must be at most {digits} at {prec} bits\n"
 
+    def test_low_precision_is_reported_before_digits(self, capsys):
+        assert cli.main(["--prec-bits", "8", "constants"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision must be at least 64 bits\n"
+
 
 class TestExact:
     def test_prints_rational_and_decimal(self, capsys):

@@ -13,6 +13,7 @@ from radpfd.exact import (
     CoefficientVector,
     coefficient_range,
     decimal_str,
+    _sweep,
     exact_coefficients,
     float_coefficients,
     parse_rational,
@@ -79,6 +80,24 @@ class TestCoefficients:
     def test_batch_sweep_rationals_are_pinned(self, batch_vectors):
         assert sorted(batch_vectors) == list(range(80, 151))
         assert self._digest(batch_vectors) == self.BATCH_SHA256
+
+    def test_one_n_matches_batch_sweep(self, batch_vectors):
+        # exact_coefficients is the log/exp start alone, no division
+        for N in (80, 88, 115, 150):
+            assert exact_coefficients(N) == batch_vectors[N]
+
+    @pytest.mark.parametrize("n_from", [1, 7, 11, 12, 20, 40])
+    def test_range_matches_divisions_from_one(self, n_from):
+        # 3 * 40 = 120: n_from <= 10 divides from 1, n_from >= 11 starts
+        # from log/exp at n_from
+        got = [(vec.N, vec.values) for vec in coefficient_range(n_from, 40)]
+        assert got == list(_sweep(n_from, 40, Fraction(1)))
+
+    def test_every_value_is_a_fraction(self):
+        vectors = [exact_coefficients(1), exact_coefficients(2)]
+        vectors += coefficient_range(1, 12)
+        for vec in vectors:
+            assert all(type(q) is Fraction for q in vec.values), vec.N
 
 
 class TestFloatTwin:
