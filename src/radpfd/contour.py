@@ -32,7 +32,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from .specfun import dilog
+from .specfun import _GUARD, _check_precision, dilog
 
 __all__ = [
     "QuadratureSpec",
@@ -46,8 +46,6 @@ __all__ = [
     "constant_c",
     "constant_c_euler_check",
 ]
-
-_GUARD = 32
 
 # The arc doubles its node count from _FIRST_NODES, up to _MAX_NODES, until
 # the relative doubling delta is at most _REL_TOL.
@@ -69,8 +67,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 8:
             raise ValueError("need at least 8 nodes")
-        if self.precision < 64:
-            raise ValueError("precision must be at least 64 bits")
+        _check_precision(self.precision)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
 
@@ -111,6 +108,15 @@ def _pairwise_sum(values):
 _LEGENDRE_CACHE: dict = {}
 
 
+def _legendre_p(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, at the working
+    precision of the caller."""
+    p0, p1 = mp.mpf(1), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
 def _legendre_rule(n: int, precision: int):
     """Nodes and weights of n-point Gauss-Legendre on [-1, 1]."""
     key = (n, precision)
@@ -122,19 +128,12 @@ def _legendre_rule(n: int, precision: int):
         for k in range(n):
             x = mp.mpf(math.cos(math.pi * (k + 0.75) / (n + 0.5)))
             for _ in range(precision):
-                # Recurrence for P_n(x) and P_{n-1}(x).
-                p0, p1 = mp.mpf(1), x
-                for j in range(2, n + 1):
-                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
+                p, dp = _legendre_p(n, x)
+                dx = p / dp
                 x -= dx
                 if abs(dx) < mp.mpf(2) ** (-(precision + 8)):
                     break
-            p0, p1 = mp.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
+            dp = _legendre_p(n, x)[1]
             w = 2 / ((1 - x * x) * dp * dp)
             nodes.append((x, w))
         result = tuple(nodes)
@@ -188,8 +187,7 @@ def _check_arc(l: int, N: int, nodes: int, precision: int):
     nodes or as nodes/32 panels of 32; any other count is rejected."""
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
-    if precision < 64:
-        raise ValueError("precision must be at least 64 bits")
+    _check_precision(precision)
     if not (8 <= nodes <= 32 or (nodes > 32 and nodes % 32 == 0)):
         raise ValueError(f"the arc takes 8..32 nodes or a multiple of 32, got {nodes}")
 

@@ -42,6 +42,8 @@ from typing import Iterator
 
 import mpmath as mp
 
+from .specfun import _GUARD, _check_precision
+
 __all__ = [
     "CoefficientVector",
     "exact_coefficients",
@@ -125,7 +127,7 @@ def _sweep(n_from: int, n_to: int, one, start: int = 0):
 
 def _float_sweep(n_from: int, n_to: int, precision: int) -> list:
     """The float twin of _sweep over N = n_from..n_to, as a list."""
-    with mp.workprec(precision + 32):
+    with mp.workprec(precision + _GUARD):
         return list(_sweep(n_from, n_to, mp.mpf(1)))
 
 
@@ -161,8 +163,7 @@ def float_coefficients(N: int, precision: int = 256):
     """
     if N < 1:
         raise ValueError("undefined: empty product has no pole")
-    if precision < 64:
-        raise ValueError("precision must be at least 64 bits")
+    _check_precision(precision)
     return _float_sweep(N, N, precision)[0][1]
 
 

@@ -25,6 +25,7 @@ from .exact import (
     rational_str,
 )
 from .saddle import asymptotic_C, saddle_constants
+from .specfun import _GUARD, _check_precision
 
 __all__ = [
     "ComparisonRow",
@@ -69,8 +70,7 @@ class RunConfig:
     def __post_init__(self):
         if self.n_from > self.n_to:
             raise ValueError("empty range: n_from > n_to")
-        if self.precision_bits < 64:
-            raise ValueError("precision must be at least 64 bits")
+        _check_precision(self.precision_bits)
         if self.l < 1:
             raise ValueError("l must be a positive integer")
         if not self.modes:
@@ -102,15 +102,16 @@ def build_rows(cfg: RunConfig, float_exact: bool = False):
     """One ComparisonRow per N in [n_from, n_to] for the configured l.
 
     Exact values for the whole range come from a single incremental
-    sweep; rows where l > N leave the exact cells empty (no such
-    coefficient exists).  float_exact runs that sweep on the engine's
-    high-precision floating twin, for ranges where rationals are too slow.
+    sweep; rows where l > N leave every cell empty (no such coefficient
+    exists, so nothing approximates it).  float_exact runs that sweep on
+    the engine's high-precision floating twin, for ranges where rationals
+    are too slow.
     """
     want_exact = "exact" in cfg.modes
     want_asym = "asymptotic" in cfg.modes
     want_int = "integral" in cfg.modes
     prec = cfg.precision_bits
-    sd = saddle_constants(prec) if want_asym else None
+    sd = saddle_constants(prec) if want_asym and cfg.l <= cfg.n_to else None
 
     exact_values = {}  # N -> (C(N, 1), ..., C(N, N))
     if want_exact and float_exact:
@@ -121,24 +122,27 @@ def build_rows(cfg: RunConfig, float_exact: bool = False):
 
     rows = []
     for N in range(cfg.n_from, cfg.n_to + 1):
+        if cfg.l > N:
+            rows.append(ComparisonRow(N, cfg.l, None, "", None, None, None, None))
+            continue
         exact_q = None
         exact_dec = ""
         exact_val = None
-        if want_exact and cfg.l <= N:
+        if want_exact:
             if float_exact:
                 exact_val = exact_values[N][cfg.l - 1]
                 exact_dec = mp.nstr(exact_val, 17)
             else:
                 exact_q = exact_values[N][cfg.l - 1]
                 exact_dec = decimal_str(exact_q)
-                exact_val = _to_mpf(exact_q, prec + 32)
+                exact_val = _to_mpf(exact_q, prec + _GUARD)
         asym = None
         abs_err = None
         rel_err = None
         if want_asym:
             asym = asymptotic_C(cfg.l, N, sd).main_term
             if exact_val is not None:
-                with mp.workprec(prec + 32):
+                with mp.workprec(prec + _GUARD):
                     abs_err = abs(exact_val - asym)
                     if exact_val != 0:
                         rel_err = abs_err / abs(exact_val)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .specfun import _phi_pair
+from .specfun import _GUARD, _phi_pair
 
 __all__ = [
     "SaddleData",
@@ -29,8 +29,6 @@ __all__ = [
     "asymptotic_C",
     "argument_principle_count",
 ]
-
-_GUARD = 32
 
 # First displayed decimals of the root; also the uniqueness-disk center.
 _INITIAL = complex(-1.61, 7.42)

@@ -197,6 +197,19 @@ class TestCompare:
         rows = parse_csv(captured.out)
         assert rows[0].exact is None and rows[4].exact is not None
 
+    def test_l_beyond_every_n_leaves_every_cell_empty(self, capsys, monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("arc nodes computed for a coefficient that does not exist")
+
+        monkeypatch.setattr(contour, "_arc_nodes", no_nodes)
+        argv = ["compare", "--from", "1", "--to", "3", "--l", "5", "--modes", "integral"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.split("\n")[1:] == ["1,5,,,,,,", "2,5,,,,,,", "3,5,,,,,,", ""]
+        assert captured.err == (
+            "note: no exact coefficient for l = 5 at N = 1..3; cells left empty\n"
+        )
+
     def test_svg_format_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compare", "--from", "1", "--to", "3", "--format", "svg"])
@@ -371,6 +384,16 @@ class TestPinnedOutputs:
 
 
 class TestCheck:
+    def test_failed_witness_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "constant_c", lambda precision: mp.mpf("0.2"))
+        assert cli.main(["check"]) == 1
+        lines = capsys.readouterr().out.strip().split("\n")
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL  Euler constant c = 0.11262 to 5 decimals")
+        assert failed[0].endswith("c = 0.2")
+        assert lines[-1] == "17/18 checks passed"
+
     def test_all_witnesses_pass(self, capsys):
         assert cli.main(["check"]) == 0
         out = capsys.readouterr().out

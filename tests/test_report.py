@@ -77,7 +77,8 @@ class TestBuildRows:
                 assert row.exact is None
                 assert row.exact_decimal == ""
                 assert row.abs_err_asym is None
-                assert row.asymptotic is not None
+                assert row.asymptotic is None
+                assert row.integral is None
             else:
                 assert row.exact is not None
 
