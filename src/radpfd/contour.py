@@ -16,12 +16,17 @@ monotonicity of Re((Li2(e^z) - pi^2/6)/z) along a contour leg, a
 trigonometric lower bound on a rectangle, and the Euler-summation
 constant c with an independent quadrature check.
 
-Node positions and the expensive per-node data for the arc (dilogarithm
-values, branch logs) depend only on (node count, precision), never on
-(l, N), and are cached module-wide in append-only dicts.  The package
-is not thread-safe: every routine sets mpmath's process-global working
-precision through mp.workprec, so concurrent calls corrupt each other's
-arithmetic.
+Two module-wide caches hold per-node data that does not depend on l.
+The arc's node positions and expensive per-node data (dilogarithm values,
+branch logs) depend only on (node count, precision), never on (l, N);
+they go into append-only dicts.  The oracle's nodes and l-independent
+products prod_{j<=N} (1 - (1+x)^j) depend on (N, spec); one dict holds
+those of the latest (N, spec) only, so calls that vary l inside N reuse
+them and memory stays flat across N.  Cached values are computed exactly
+as uncached ones, so every result is the same bits with or without them.
+The package is not thread-safe: every routine sets mpmath's
+process-global working precision through mp.workprec, and the caches
+are shared unlocked, so concurrent calls corrupt each other's arithmetic.
 """
 
 from __future__ import annotations
@@ -238,23 +243,22 @@ def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
         coarse = fine
 
 
-def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
-    """Loop-integral oracle for the exact coefficient C(N, l).
+_ORACLE_CACHE: dict = {}
 
-    Trapezoid rule with spec.nodes points, plus the interleaved
-    double-count for the convergence delta; the two rules share the
-    even-indexed nodes so the doubled run costs one extra sweep.
-    """
-    if l < 1 or N < 1:
-        raise ValueError("l and N must be positive integers")
-    if N >= 2 and not spec.radius < 2 * math.sin(math.pi / N):
-        raise ValueError("radius reaches the nearest nonzero pole of the product")
-    if spec.precision < 64 + math.ceil(1.5 * N):
-        raise ValueError("precision too low for the oscillatory cancellation")
+
+def _oracle_nodes(N: int, spec: QuadratureSpec):
+    """The 2M trapezoid nodes x = r e^{i pi k / M} with prod_{j<=N} (1 - (1+x)^j),
+    independent of l.  Only the latest (N, spec) is kept, so a sweep over l
+    at one N computes them once and memory stays flat over many N."""
+    key = (N, spec)
+    got = _ORACLE_CACHE.get(key)
+    if got is not None:
+        return got
+    _ORACLE_CACHE.clear()  # before the new nodes exist, so two sets never coexist
     M = spec.nodes
     with mp.workprec(spec.precision + _GUARD):
         r = mp.mpf(spec.radius)
-        vals = []
+        out = []
         for k in range(2 * M):
             x = r * mp.expjpi(mp.mpf(k) / M)  # e^{i pi k / M}, 2M-th roots
             y = 1 + x
@@ -263,7 +267,30 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
             for _ in range(N):
                 prod *= 1 - yj
                 yj *= y
-            vals.append(x**l / prod)  # f(x) * x with f = x^{l-1}/prod
+            out.append((x, prod))
+        result = tuple(out)
+    _ORACLE_CACHE[key] = result
+    return result
+
+
+def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
+    """Loop-integral oracle for the exact coefficient C(N, l).
+
+    Trapezoid rule with spec.nodes points, plus the interleaved
+    double-count for the convergence delta; the two rules share the
+    even-indexed nodes so the doubled run costs one extra sweep.  The
+    nodes and their products come from the one-entry (N, spec) cache.
+    """
+    if l < 1 or N < 1:
+        raise ValueError("l and N must be positive integers")
+    if N >= 2 and not spec.radius < 2 * math.sin(math.pi / N):
+        raise ValueError("radius reaches the nearest nonzero pole of the product")
+    if spec.precision < 64 + math.ceil(1.5 * N):
+        raise ValueError("precision too low for the oscillatory cancellation")
+    M = spec.nodes
+    nodes = _oracle_nodes(N, spec)
+    with mp.workprec(spec.precision + _GUARD):
+        vals = [x**l / prod for x, prod in nodes]  # f(x) * x with f = x^{l-1}/prod
         coarse = _pairwise_sum(vals[0::2]) / M
         fine = _pairwise_sum(vals) / (2 * M)
         return OracleValue(value=fine, node_doubling_delta=mp.mpf(abs(fine - coarse)))

@@ -101,11 +101,11 @@ def _to_mpf(q: Fraction, precision: int) -> mp.mpf:
 def build_rows(cfg: RunConfig, float_exact: bool = False):
     """One ComparisonRow per N in [n_from, n_to] for the configured l.
 
-    Exact values for the whole range come from a single incremental
-    sweep; rows where l > N leave every cell empty (no such coefficient
-    exists, so nothing approximates it).  float_exact runs that sweep on
-    the engine's high-precision floating twin, for ranges where rationals
-    are too slow.
+    Exact values come from a single incremental sweep over the N >= l
+    of the range; rows where l > N leave every cell empty (no such
+    coefficient exists, so nothing approximates it).  float_exact runs
+    that sweep on the engine's high-precision floating twin, for ranges
+    where rationals are too slow.
     """
     want_exact = "exact" in cfg.modes
     want_asym = "asymptotic" in cfg.modes
@@ -113,12 +113,14 @@ def build_rows(cfg: RunConfig, float_exact: bool = False):
     prec = cfg.precision_bits
     sd = saddle_constants(prec) if want_asym and cfg.l <= cfg.n_to else None
 
-    exact_values = {}  # N -> (C(N, 1), ..., C(N, N))
-    if want_exact and float_exact:
-        exact_values = dict(_float_sweep(cfg.n_from, cfg.n_to, prec))
-    elif want_exact:
-        for vec in coefficient_range(cfg.n_from, cfg.n_to):
-            exact_values[vec.N] = vec.values
+    exact_values = {}  # N -> (C(N, 1), ..., C(N, N)), for N >= l only
+    first = max(cfg.n_from, cfg.l)
+    if want_exact and first <= cfg.n_to:
+        if float_exact:
+            exact_values = dict(_float_sweep(first, cfg.n_to, prec))
+        else:
+            for vec in coefficient_range(first, cfg.n_to):
+                exact_values[vec.N] = vec.values
 
     rows = []
     for N in range(cfg.n_from, cfg.n_to + 1):

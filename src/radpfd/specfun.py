@@ -15,9 +15,21 @@ upper bound on their truncation error alongside the value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import (
+    from_int,
+    mpc_abs,
+    mpc_add,
+    mpc_div_mpf,
+    mpc_mul,
+    mpc_one,
+    mpc_zero,
+    mpf_lt,
+    mpf_mul,
+)
 
 __all__ = [
     "EvalResult",
@@ -45,24 +57,41 @@ def _pi2_over_6():
     return mp.pi**2 / 6
 
 
+def _top(z):
+    """An exponent E with max(|Re z|, |Im z|) in [2^(E-1), 2^E) for a raw
+    mpc tuple; a zero part counts as -infinity."""
+    (_, rm, re, rb), (_, im, ie, ib) = z
+    return max(re + rb if rm else -math.inf, ie + ib if im else -math.inf)
+
+
 def _series_li2(u, precision):
     """Direct series sum_{k>=1} u^k / k^2 at the ambient working precision.
 
     Stops once a term drops below 2^-(precision+8) of the accumulated
     modulus; callers guarantee |u| is bounded away from 1 so the tail is
-    geometric.
+    geometric.  The loop runs on raw mpc tuples with the rounding of
+    mpc arithmetic.  The exact stopping test (two moduli) runs on every
+    term that could stop the loop; the others are passed on exponents,
+    which prove |term| >= 2^(E_term - 1) > 4 * cutoff * 2^(E_acc + 1)
+    > 4 * cutoff * |acc|, a margin no rounding of the exact test erases.
+    So the terms summed and the sum are those of the plain mpc loop.
     """
     if u == 0:
         return mp.mpc(0)
-    cutoff = mp.mpf(2) ** (-(precision + 8))
-    acc = mp.mpc(0)
-    power = mp.mpc(1)
+    prec, rnd = mp.mp._prec_rounding
+    cutoff = (mp.mpf(2) ** (-(precision + 8)))._mpf_
+    gap = 4 - (precision + 8)  # skip the exact test while E_term - E_acc >= gap
+    u = u._mpc_
+    acc = mpc_zero
+    power = mpc_one
     for k in range(1, 64 * (precision + 64)):
-        power *= u
-        term = power / (k * k)
-        acc += term
-        if abs(term) < cutoff * abs(acc):
-            return acc
+        power = mpc_mul(power, u, prec, rnd)
+        term = mpc_div_mpf(power, from_int(k * k), prec, rnd)
+        acc = mpc_add(acc, term, prec, rnd)
+        if _top(term) - _top(acc) < gap and mpf_lt(
+            mpc_abs(term, prec, rnd), mpf_mul(cutoff, mpc_abs(acc, prec, rnd), prec, rnd)
+        ):
+            return mp.mp.make_mpc(acc)
     raise RuntimeError("dilogarithm series failed to converge")
 
 

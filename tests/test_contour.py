@@ -81,6 +81,37 @@ class TestCauchyOracle:
         assert deltas[0] > 10 * deltas[1]
 
 
+class TestOracleCache:
+    @staticmethod
+    def bits(l, N, spec):
+        got = cauchy_oracle(l, N, spec)
+        return got.value._mpc_, got.node_doubling_delta._mpf_
+
+    def test_value_does_not_depend_on_earlier_calls(self):
+        spec = oracle_spec(12)
+        contour._ORACLE_CACHE.clear()
+        fresh = self.bits(2, 12, spec)
+        for before in (
+            (1, 12, spec),  # another l at the same (N, spec)
+            (2, 10, oracle_spec(10)),  # another N
+            (2, 12, oracle_spec(12, precision=spec.precision + 64)),  # another precision
+        ):
+            contour._ORACLE_CACHE.clear()
+            cauchy_oracle(*before)
+            assert self.bits(2, 12, spec) == fresh
+
+    def test_holds_the_latest_key_only(self):
+        contour._ORACLE_CACHE.clear()
+        for N in (6, 8):
+            spec = oracle_spec(N)
+            for l in (1, 2, 3):
+                cauchy_oracle(l, N, spec)
+                assert list(contour._ORACLE_CACHE) == [(N, spec)]
+            nodes = contour._ORACLE_CACHE[(N, spec)]
+            cauchy_oracle(4, N, spec)
+            assert contour._ORACLE_CACHE[(N, spec)] is nodes
+
+
 class TestArcIntegral:
     def test_tracks_exact_at_n20(self, small_vectors):
         v = integral_approx_C(1, 20, PREC)

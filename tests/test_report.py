@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
+from radpfd import report
 from radpfd.exact import decimal_str, float_coefficients
 from radpfd.report import (
     CSV_HEADER,
@@ -81,6 +82,23 @@ class TestBuildRows:
                 assert row.integral is None
             else:
                 assert row.exact is not None
+
+    def test_exact_sweep_starts_at_l(self, monkeypatch):
+        calls = []
+        real = report.coefficient_range
+
+        def spy(n_from, n_to):
+            calls.append((n_from, n_to))
+            return real(n_from, n_to)
+
+        monkeypatch.setattr(report, "coefficient_range", spy)
+        rows = build_rows(RunConfig(PREC, 1, 100, 101, frozenset({"exact"})))
+        assert calls == []
+        assert len(rows) == 100
+        assert all(r.exact is None and r.exact_decimal == "" for r in rows)
+        rows = build_rows(RunConfig(PREC, 1, 4, 3, frozenset({"exact"})))
+        assert calls == [(3, 4)]
+        assert [r.exact is not None for r in rows] == [False, False, True, True]
 
     def test_integral_mode(self, small_vectors):
         cfg = RunConfig(

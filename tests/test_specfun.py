@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from radpfd.specfun import (
     _phi_pair,
+    _series_li2,
     dilog,
     hurwitz_zeta,
     phi,
@@ -93,6 +94,35 @@ class TestDilog:
                         - mp.pi**2 / 6
                     )
                     assert resid < bound
+
+
+def plain_series_li2(u, precision):
+    """Reference for _series_li2: the same series on plain mpc objects."""
+    if u == 0:
+        return mp.mpc(0)
+    cutoff = mp.mpf(2) ** (-(precision + 8))
+    acc = mp.mpc(0)
+    power = mp.mpc(1)
+    for k in range(1, 64 * (precision + 64)):
+        power *= u
+        term = power / (k * k)
+        acc += term
+        if abs(term) < cutoff * abs(acc):
+            return acc
+    raise RuntimeError("dilogarithm series failed to converge")
+
+
+class TestSeriesLi2:
+    @pytest.mark.parametrize("prec", [64, 128, 256, 512])
+    def test_bit_identical_to_plain_mpc_loop(self, prec):
+        # |u| from 1e-6 to 0.75 and arguments k pi / 8 round the circle,
+        # the axes (a zero real or imaginary part) included.
+        with mp.workprec(prec + 32):
+            for r in ("1e-6", "1e-3", "0.1", "0.4", "0.6", "0.75"):
+                for k in range(16):
+                    u = mp.mpf(r) * mp.expjpi(mp.mpf(k) / 8)
+                    got = _series_li2(u, prec)
+                    assert got._mpc_ == plain_series_li2(u, prec)._mpc_
 
 
 class TestHurwitzZeta:
