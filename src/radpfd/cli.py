@@ -27,7 +27,7 @@ from .contour import (
     integral_approx_C,
     oracle_spec,
 )
-from .exact import decimal_str, exact_coefficients, float_coefficients, rational_str
+from .exact import decimal_str, exact_coefficients, rational_str
 from .report import (
     RunConfig,
     _to_mpf,
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--float-exact",
         action="store_true",
-        help="run the exact algorithm in high-precision floats instead of rationals",
+        help="print the exact value rounded to --prec-bits bits, to 17 digits",
     )
     p.set_defaults(func=cmd_exact)
 
@@ -96,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="exact,asymptotic",
         help="comma-separated subset of exact,asymptotic,integral",
     )
-    p.add_argument("--float-exact", action="store_true")
     _add_output(p, ("csv", "json"))
     p.set_defaults(func=cmd_compare)
 
@@ -147,10 +146,11 @@ def _check_coefficient(args):
 def cmd_exact(args) -> int:
     _check_coefficient(args)
     if args.float_exact:
-        value = float_coefficients(args.N, args.prec_bits)[args.l - 1]
-        print(f"C({args.N}, {args.l}) = {mp.nstr(value, 17)}")
+        _check_precision(args.prec_bits)
+    q = exact_coefficients(args.N).coeff(args.l)
+    if args.float_exact:
+        print(f"C({args.N}, {args.l}) = {mp.nstr(_to_mpf(q, args.prec_bits), 17)}")
     else:
-        q = exact_coefficients(args.N).coeff(args.l)
         print(f"C({args.N}, {args.l}) = {rational_str(q)} = {decimal_str(q)}")
     return 0
 
@@ -187,7 +187,7 @@ def cmd_compare(args) -> int:
             f"{skipped[0]}..{skipped[-1]}; cells left empty",
             file=sys.stderr,
         )
-    rows = build_rows(cfg, float_exact=args.float_exact)
+    rows = build_rows(cfg)
     text = emit_json(rows) if args.format == "json" else emit_csv(rows)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -8,18 +8,20 @@ has integer coefficients and a_j(0) = j.  Hence
 
     C(N, l) = (-1)^N [t^{N-l}] prod_{j<=N} 1/a_j(t).
 
-Dividing a truncated series q by a_j in place is the recurrence
+Dividing a truncated series q by a_j is the recurrence
 
-    q[m] <- (q[m] - sum_{k=1}^{min(m, j-1)} binom(j, k+1) q[m-k]) / j,
+    q'[m] = (q[m] - sum_{k=1}^{min(m, j-1)} binom(j, k+1) q'[m-k]) / j,
 
-for m = 0, 1, 2, ...; q[m] depends only on q[0..m], so truncation never
+for m = 0, 1, 2, ...; q'[m] depends only on q[0..m], so truncation never
 corrupts the coefficients that are kept.  As a_j has integer
-coefficients, the same code runs over fractions.Fraction (exact values)
-and over mpmath floats (the twin for ranges where rationals get heavy).
+coefficients, coefficient_range runs it on integer numerators over one
+common denominator (fraction-free, as in Bareiss's elimination), from
+j = 1, and builds Fractions only for the rows it yields.
 
-Dividing by a_1..a_n costs O(order * n^2) steps.  The exact path can
-instead start from the product itself, in O(order^2) steps, through
-power sums (a log/exp start).  With s = log(1+t) and
+Dividing by a_1..a_n costs O(order * n^2) steps.  For one N,
+exact_coefficients starts from the product itself instead, in
+O(order^2) rational steps, through power sums (a log/exp start).  With
+s = log(1+t) and
 lambda(x) = log((e^x - 1)/x) = x/2 + sum_k B_2k x^2k / (2k (2k)!),
 
     log(a_j/j) = lambda(j s) - lambda(s),
@@ -28,33 +30,28 @@ so log(n! prod_{j<=n} 1/a_j) has [s^1] = -(S_1(n) - n)/2 and
 [s^2k] = -B_2k (S_2k(n) - n) / (2k (2k)!), with S_k(n) = sum_{j<=n} j^k.
 The signed Stirling numbers of the first kind turn s^k into powers of t,
 and one series exp (e_m = (1/m) sum_k k g_k e_{m-k}) gives the product.
-exact_coefficients(N) is that start alone.  coefficient_range starts
-from it where it is cheaper than the divisions it replaces, and divides
-for every later j; the float twin always starts from 1.
+The two routes share no arithmetic, so each checks the other.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import mpmath as mp
 
-from .specfun import _GUARD, _check_precision
-
 __all__ = [
     "CoefficientVector",
     "exact_coefficients",
     "coefficient_range",
-    "float_coefficients",
     "rational_str",
     "parse_rational",
     "decimal_str",
 ]
 
-_ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
@@ -102,69 +99,57 @@ def _logexp(n: int, order: int) -> list:
     return e
 
 
-def _sweep(n_from: int, n_to: int, one, start: int = 0):
-    """Yield (N, values) with values[l-1] = C(N, l) for N = n_from..n_to.
-
-    q is prod_{i<=j} 1/a_i truncated at order n_to - 1; after the
-    division by a_j its entries 0..j-1 are final, which is all that
-    N = j reads.  q starts at j = start: as the series 1 for start = 0,
-    else (1 <= start <= n_from, Fraction only) as _logexp(start, n_to).
-    The arithmetic is that of `one`: Fraction(1) gives exact values,
-    mp.mpf(1) floats at the caller's working precision.
-    """
-    q = _logexp(start, n_to) if start else [one] + [0 * one] * (n_to - 1)
-    for j in range(start, n_to + 1):
-        if j > start:
-            binoms = [math.comb(j, k + 1) for k in range(j)]
-            for m in range(n_to):
-                acc = q[m]
-                for k in range(1, min(m, j - 1) + 1):
-                    acc -= binoms[k] * q[m - k]
-                q[m] = acc / j
-        if j >= n_from:
-            yield j, tuple(-q[j - l] if j % 2 else q[j - l] for l in range(1, j + 1))
-
-
-def _float_sweep(n_from: int, n_to: int, precision: int) -> list:
-    """The float twin of _sweep over N = n_from..n_to, as a list."""
-    with mp.workprec(precision + _GUARD):
-        return list(_sweep(n_from, n_to, mp.mpf(1)))
+def _row(N: int, q) -> tuple:
+    """(C(N, 1), ..., C(N, N)) from q = prod_{j<=N} 1/a_j truncated at
+    order N or beyond: C(N, l) = (-1)^N q[N-l]."""
+    return tuple(-q[N - l] if N % 2 else q[N - l] for l in range(1, N + 1))
 
 
 def exact_coefficients(N: int) -> CoefficientVector:
-    """Exact C(N, l) for l = 1..N."""
+    """Exact C(N, l) for l = 1..N, from the log/exp start alone."""
     if N < 1:
         raise ValueError("undefined: empty product has no pole")
-    return CoefficientVector(*next(_sweep(N, N, _ONE, N)))
+    return CoefficientVector(N, _row(N, _logexp(N, N)))
 
 
 def coefficient_range(n_from: int, n_to: int) -> Iterator[CoefficientVector]:
     """Yield CoefficientVector for every N in [n_from, n_to], from one
-    pass that divides by a_j for each j <= n_to it does not start past.
+    pass that divides by a_j for j = 1..n_to.
 
-    Dividing up to n_from costs about n_to * n_from^2 / 2 steps and the
-    log/exp start about 3 * n_to^2 / 2, so the pass starts at n_from
-    from log/exp when n_from^2 > 3 * n_to, and from 1 otherwise.
+    q = prod_{i<=j} 1/a_i, truncated at order n_to, is held as integer
+    numerators P over one common denominator D, so that no step pays for
+    a Fraction per entry.  The division by a_j sets D' = D j^e and
+
+        P'[m] = (j^e P[m] - sum_{k=1}^{min(m, j-1)} binom(j, k+1) P'[m-k]) / j,
+
+    with e the least exponent for which every division is exact: e starts
+    at 0 and grows by one wherever a division leaves a remainder, which
+    multiplies the P' already computed by j.  Then gcd(D', P') is divided
+    out.  After the division by a_j the entries 0..j-1 are final, which
+    is all that N = j reads.
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
-    start = n_from if n_from**2 > 3 * n_to else 0
-    for N, values in _sweep(n_from, n_to, _ONE, start):
-        yield CoefficientVector(N, values)
-
-
-def float_coefficients(N: int, precision: int = 256):
-    """C(N, l) for l = 1..N by the exact recurrence on floats with 32
-    guard bits over precision.  Returns a tuple of mpf, values[l-1] = C(N, l).
-
-    Measured worst relative error over l at 256 bits: 2^-261.8 at N = 70,
-    2^-256.6 at N = 88 and 2^-232.1 at N = 150; beyond N ~ 90 the guard
-    bits no longer cover the rounding loss.
-    """
-    if N < 1:
-        raise ValueError("undefined: empty product has no pole")
-    _check_precision(precision)
-    return _float_sweep(N, N, precision)[0][1]
+    P = [1] + [0] * (n_to - 1)
+    D = 1
+    for j in range(1, n_to + 1):
+        binoms = [math.comb(j, k + 1) for k in range(1, j)]
+        scale = 1  # j^e
+        new = []
+        for m, p in enumerate(P):
+            tail = reversed(new[max(m - j + 1, 0) : m])  # P'[m-1], ..., P'[m-k]
+            acc = scale * p - sum(map(operator.mul, binoms, tail))
+            quot, rem = divmod(acc, j)
+            if rem:  # e + 1 multiplies every P' by j, so P'[m] becomes acc
+                new = [j * x for x in new]
+                scale *= j
+                quot = acc
+            new.append(quot)
+        D *= scale
+        g = math.gcd(D, *new)
+        P, D = [p // g for p in new], D // g
+        if j >= n_from:
+            yield CoefficientVector(j, _row(j, [Fraction(p, D) for p in P[:j]]))
 
 
 def rational_str(q: Fraction) -> str:
@@ -174,11 +159,16 @@ def rational_str(q: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of rational_str."""
+    """Inverse of rational_str; any other text, "2/4" or "1/0" included,
+    raises ValueError."""
     num, _, den = s.partition("/")
-    if not den:
-        raise ValueError(f"not a rational string: {s!r}")
-    return Fraction(int(num), int(den))
+    try:
+        q = Fraction(int(num), int(den))
+        if rational_str(q) == s:
+            return q
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"not a canonical rational string: {s!r}")
 
 
 def decimal_str(q: Fraction) -> str:

@@ -17,13 +17,7 @@ from typing import Optional
 import mpmath as mp
 
 from .contour import integral_approx_C
-from .exact import (
-    _float_sweep,
-    coefficient_range,
-    decimal_str,
-    parse_rational,
-    rational_str,
-)
+from .exact import coefficient_range, decimal_str, parse_rational, rational_str
 from .saddle import asymptotic_C, saddle_constants
 from .specfun import _GUARD, _check_precision
 
@@ -98,14 +92,12 @@ def _to_mpf(q: Fraction, precision: int) -> mp.mpf:
         return mp.mpf(q.numerator) / q.denominator
 
 
-def build_rows(cfg: RunConfig, float_exact: bool = False):
+def build_rows(cfg: RunConfig):
     """One ComparisonRow per N in [n_from, n_to] for the configured l.
 
     Exact values come from a single incremental sweep over the N >= l
     of the range; rows where l > N leave every cell empty (no such
-    coefficient exists, so nothing approximates it).  float_exact runs
-    that sweep on the engine's high-precision floating twin, for ranges
-    where rationals are too slow.
+    coefficient exists, so nothing approximates it).
     """
     want_exact = "exact" in cfg.modes
     want_asym = "asymptotic" in cfg.modes
@@ -116,11 +108,8 @@ def build_rows(cfg: RunConfig, float_exact: bool = False):
     exact_values = {}  # N -> (C(N, 1), ..., C(N, N)), for N >= l only
     first = max(cfg.n_from, cfg.l)
     if want_exact and first <= cfg.n_to:
-        if float_exact:
-            exact_values = dict(_float_sweep(first, cfg.n_to, prec))
-        else:
-            for vec in coefficient_range(first, cfg.n_to):
-                exact_values[vec.N] = vec.values
+        for vec in coefficient_range(first, cfg.n_to):
+            exact_values[vec.N] = vec.values
 
     rows = []
     for N in range(cfg.n_from, cfg.n_to + 1):
@@ -131,13 +120,9 @@ def build_rows(cfg: RunConfig, float_exact: bool = False):
         exact_dec = ""
         exact_val = None
         if want_exact:
-            if float_exact:
-                exact_val = exact_values[N][cfg.l - 1]
-                exact_dec = mp.nstr(exact_val, 17)
-            else:
-                exact_q = exact_values[N][cfg.l - 1]
-                exact_dec = decimal_str(exact_q)
-                exact_val = _to_mpf(exact_q, prec + _GUARD)
+            exact_q = exact_values[N][cfg.l - 1]
+            exact_dec = decimal_str(exact_q)
+            exact_val = _to_mpf(exact_q, prec + _GUARD)
         asym = None
         abs_err = None
         rel_err = None

@@ -27,8 +27,9 @@ def small_vectors():
 def batch_vectors():
     """Exact coefficient vectors for N = 80..150.
 
-    This is the expensive rational sweep behind the figure and peak
-    analyses; computing it once per session keeps the suite tolerable.
+    The figure and peak analyses read this window.  One sweep per
+    session divides by a_j for j = 1..150, about 0.7 s on 2 vCPUs of an
+    Intel Xeon; c4 asserts its wall time.
     """
     start = time.monotonic()
     vectors = {vec.N: vec for vec in coefficient_range(80, 150)}

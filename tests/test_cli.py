@@ -114,6 +114,16 @@ class TestExact:
         assert captured.out == ""
         assert "no such coefficient" in captured.err
 
+    def test_float_exact_checks_precision_before_any_work(self, capsys, monkeypatch):
+        def unswept(N):
+            raise AssertionError("coefficients computed before the precision was checked")
+
+        monkeypatch.setattr(cli, "exact_coefficients", unswept)
+        assert cli.main(["--prec-bits", "32", "exact", "--N", "5", "--float-exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision must be at least 64 bits\n"
+
 
 # (N, l) pairs that name no coefficient, with the usage error each gets
 _NO_COEFFICIENT = {

@@ -1,10 +1,9 @@
-"""Exact rational pipeline: coefficients, float twin, serialization."""
+"""Exact rational pipeline: coefficients and serialization."""
 
 import hashlib
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +12,7 @@ from radpfd.exact import (
     CoefficientVector,
     coefficient_range,
     decimal_str,
-    _sweep,
     exact_coefficients,
-    float_coefficients,
     parse_rational,
     rational_str,
 )
@@ -88,48 +85,18 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("n_from", [1, 7, 11, 12, 20, 40])
     def test_range_matches_divisions_from_one(self, n_from):
-        # 3 * 40 = 120: n_from <= 10 divides from 1, n_from >= 11 starts
-        # from log/exp at n_from
-        got = [(vec.N, vec.values) for vec in coefficient_range(n_from, 40)]
-        assert got == list(_sweep(n_from, 40, Fraction(1)))
+        # the integer sweep against the log/exp start, an independent route
+        got = list(coefficient_range(n_from, 40))
+        assert got == [exact_coefficients(N) for N in range(n_from, 41)]
+
+    def test_range_matches_log_exp_beyond_the_pinned_window(self):
+        assert next(coefficient_range(200, 200)) == exact_coefficients(200)
 
     def test_every_value_is_a_fraction(self):
         vectors = [exact_coefficients(1), exact_coefficients(2)]
         vectors += coefficient_range(1, 12)
         for vec in vectors:
             assert all(type(q) is Fraction for q in vec.values), vec.N
-
-
-class TestFloatTwin:
-    def test_matches_rationals_at_n_40(self):
-        fv = float_coefficients(40, 256)
-        ev = exact_coefficients(40)
-        with mp.workprec(300):
-            for l in (1, 2, 20, 40):
-                q = ev.coeff(l)
-                ex = mp.mpf(q.numerator) / q.denominator
-                assert abs(fv[l - 1] - ex) <= mp.mpf(2) ** (-200) * abs(ex)
-
-    def test_relative_error_bound_at_n_70(self, mid_vectors):
-        # 256 bits plus 32 guard bits: the worst l measures 2^-261.8
-        fv = float_coefficients(70, 256)
-        with mp.workprec(600):
-            for l, q in enumerate(mid_vectors[70].values, 1):
-                ex = mp.mpf(q.numerator) / q.denominator
-                assert abs(fv[l - 1] - ex) <= mp.mpf(2) ** (-240) * abs(ex)
-
-    def test_relative_error_bound_at_n_150(self, batch_vectors):
-        # the 32 guard bits stop covering the loss beyond N ~ 90: the
-        # worst l measures 2^-232.1 here
-        fv = float_coefficients(150, 256)
-        with mp.workprec(600):
-            for l, q in enumerate(batch_vectors[150].values, 1):
-                ex = mp.mpf(q.numerator) / q.denominator
-                assert abs(fv[l - 1] - ex) <= mp.mpf(2) ** (-224) * abs(ex)
-
-    def test_rejects_low_precision(self):
-        with pytest.raises(ValueError):
-            float_coefficients(5, 32)
 
 
 def principal_part_remainder(N: int, x: Fraction) -> Fraction:
@@ -193,6 +160,11 @@ class TestSerialization:
     @settings(max_examples=80)
     def test_rational_round_trip(self, q):
         assert parse_rational(rational_str(q)) == q
+
+    @pytest.mark.parametrize("text", ["1/0", "2/4", "1/-2", "-0/1", "+1/2", "1", "1/2/3"])
+    def test_parse_rational_accepts_only_canonical_text(self, text):
+        with pytest.raises(ValueError, match="rational"):
+            parse_rational(text)
 
     def test_rational_str_always_shows_denominator(self):
         assert rational_str(Fraction(-1)) == "-1/1"

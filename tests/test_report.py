@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from radpfd import report
-from radpfd.exact import decimal_str, float_coefficients
+from radpfd.exact import decimal_str
 from radpfd.report import (
     CSV_HEADER,
     DisproofReport,
@@ -115,30 +115,6 @@ class TestBuildRows:
             exact_f = mp.mpf(q.numerator) / q.denominator
             assert abs(row.integral - exact_f) < abs(exact_f) * mp.mpf("0.35")
 
-    def test_float_exact_matches_rational(self, small_vectors):
-        cfg = RunConfig(precision_bits=PREC, n_from=20, n_to=20, l=1)
-        (row,) = build_rows(cfg, float_exact=True)
-        assert row.exact is None  # no rational kept on the float path
-        q = small_vectors[20].coeff(1)
-        with mp.workprec(90):
-            got = mp.mpf(row.exact_decimal)
-            want = mp.mpf(q.numerator) / q.denominator
-            assert abs(got - want) < abs(want) * mp.mpf("1e-14")
-
-    def test_float_sweep_rows_equal_float_coefficients(self):
-        # one sweep for the range gives the same mpf bits as a separate
-        # float_coefficients(N) call per row
-        for l in (1, 2, 5):
-            cfg = RunConfig(precision_bits=PREC, n_from=1, n_to=12, l=l)
-            for row in build_rows(cfg, float_exact=True):
-                if row.N < l:
-                    assert row.exact_decimal == "" and row.abs_err_asym is None
-                    continue
-                want = float_coefficients(row.N, PREC)[l - 1]
-                assert row.exact_decimal == mp.nstr(want, 17)
-                with mp.workprec(PREC + 32):
-                    assert row.abs_err_asym == abs(want - row.asymptotic)
-
 
 class TestSerialization:
     def _rows(self):
@@ -163,6 +139,11 @@ class TestSerialization:
     def test_parse_rejects_malformed_row(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_csv(CSV_HEADER + "\n1,1,-1/1\n")
+
+    @pytest.mark.parametrize("exact", ["1/0", "2/4", "1/-2"])
+    def test_parse_rejects_non_canonical_rational(self, exact):
+        with pytest.raises(ValueError, match="rational"):
+            parse_csv(CSV_HEADER + f"\n2,1,{exact},-0.25,,,,\n")
 
     def test_json_is_deterministic(self):
         a = emit_json(self._rows())
