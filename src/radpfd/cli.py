@@ -44,6 +44,10 @@ from .svg import line_chart
 
 __all__ = ["main", "write_figures", "run_checks"]
 
+# exact --N above this exits 2 before any work: exact_coefficients costs
+# O(N^2) big-integer steps whose operands grow with N, about N^4 in all
+_EXACT_MAX_N = 500
+
 
 def _add_range(p, n_from: int, n_to: int):
     p.add_argument("--from", dest="n_from", type=int, default=n_from, metavar="N")
@@ -69,7 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("exact", help="exact coefficient C(N, l)")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument(
+        "--N",
+        type=int,
+        required=True,
+        help=f"1..{_EXACT_MAX_N}; N = {_EXACT_MAX_N} takes a few seconds",
+    )
     p.add_argument("--l", type=int, default=1)
     p.add_argument(
         "--float-exact",
@@ -145,6 +154,8 @@ def _check_coefficient(args):
 
 def cmd_exact(args) -> int:
     _check_coefficient(args)
+    if args.N > _EXACT_MAX_N:
+        raise ValueError(f"--N must be at most {_EXACT_MAX_N}, got {args.N}")
     if args.float_exact:
         _check_precision(args.prec_bits)
     q = exact_coefficients(args.N).coeff(args.l)

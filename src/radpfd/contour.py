@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
+from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_mul_int, mpf_sub
 
 from .specfun import _GUARD, _check_precision, dilog
 
@@ -115,11 +116,19 @@ _LEGENDRE_CACHE: dict = {}
 
 def _legendre_p(n: int, x):
     """P_n(x) and P_n'(x) by the three-term recurrence, at the working
-    precision of the caller."""
-    p0, p1 = mp.mpf(1), x
+    precision of the caller.  The loop runs on raw mpf tuples, with the
+    libmpf calls that the mpf expressions ((2j-1) x p1 - (j-1) p0) / j and
+    n (x p1 - p0) / (x x - 1) make, so the results are the same bits."""
+    prec, rnd = mp.mp._prec_rounding
+    x = x._mpf_
+    p0, p1 = fone, x
     for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    return p1, n * (x * p1 - p0) / (x * x - 1)
+        t = mpf_mul(mpf_mul_int(x, 2 * j - 1, prec, rnd), p1, prec, rnd)
+        t = mpf_sub(t, mpf_mul_int(p0, j - 1, prec, rnd), prec, rnd)
+        p0, p1 = p1, mpf_div(t, from_int(j), prec, rnd)
+    dp = mpf_mul_int(mpf_sub(mpf_mul(x, p1, prec, rnd), p0, prec, rnd), n, prec, rnd)
+    dp = mpf_div(dp, mpf_sub(mpf_mul(x, x, prec, rnd), fone, prec, rnd), prec, rnd)
+    return mp.mp.make_mpf(p1), mp.mp.make_mpf(dp)
 
 
 def _legendre_rule(n: int, precision: int):

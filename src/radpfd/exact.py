@@ -18,19 +18,25 @@ coefficients, coefficient_range runs it on integer numerators over one
 common denominator (fraction-free, as in Bareiss's elimination), from
 j = 1, and builds Fractions only for the rows it yields.
 
-Dividing by a_1..a_n costs O(order * n^2) steps.  For one N,
-exact_coefficients starts from the product itself instead, in
-O(order^2) rational steps, through power sums (a log/exp start).  With
-s = log(1+t) and
-lambda(x) = log((e^x - 1)/x) = x/2 + sum_k B_2k x^2k / (2k (2k)!),
+Dividing by a_1..a_N costs O(N^3) steps.  For one N,
+exact_coefficients starts from the product itself instead, in O(N^2)
+integer steps, through power sums (a log/exp start).  With s = log(1+t)
+and lambda(x) = log((e^x - 1)/x) = x/2 + sum_k B_2k x^2k / (2k (2k)!),
 
     log(a_j/j) = lambda(j s) - lambda(s),
 
 so log(n! prod_{j<=n} 1/a_j) has [s^1] = -(S_1(n) - n)/2 and
 [s^2k] = -B_2k (S_2k(n) - n) / (2k (2k)!), with S_k(n) = sum_{j<=n} j^k.
 The signed Stirling numbers of the first kind turn s^k into powers of t,
-and one series exp (e_m = (1/m) sum_k k g_k e_{m-k}) gives the product.
-The two routes share no arithmetic, so each checks the other.
+and one series exp gives the product.  This route too is fraction-free:
+the log coefficients share one denominator W, so the Stirling sums
+A_m = W m! [t^m] log(...) are integers, and f_m = m! [t^m] prod obeys
+
+    f_m = (1/W) sum_{k=1}^m binom(m-1, k-1) A_k f_{m-k},
+
+run on integer numerators over one denominator that grows only where a
+division by W is not exact.  The two routes share no arithmetic, so
+each checks the other.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator
 
 import mpmath as mp
@@ -51,8 +58,6 @@ __all__ = [
     "parse_rational",
     "decimal_str",
 ]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -72,31 +77,44 @@ class CoefficientVector:
         return self.values[l - 1]
 
 
-def _logexp(n: int, order: int) -> list:
-    """prod_{j<=n} 1/a_j(t) truncated at t^(order-1), as Fractions, from
-    the power sums of 1..n (the log/exp start of the module docstring)."""
+def _logexp(n: int) -> list:
+    """prod_{j<=n} 1/a_j(t) truncated at t^(n-1), as Fractions, from the
+    power sums of 1..n (the log/exp start of the module docstring)."""
     # w[k] = k! [s^k] log(n! prod 1/a_j); zero at odd k >= 3
-    w = [_ZERO] * order
-    if order > 1:
+    w = [Fraction(0)] * n
+    if n > 1:
         w[1] = Fraction(n - n * (n + 1) // 2, 2)
     squares = [j * j for j in range(1, n + 1)]
     powers = squares
-    for k in range(2, order, 2):
+    for k in range(2, n, 2):
         w[k] = -Fraction(*mp.bernfrac(k)) * (sum(powers) - n) / k
         powers = [p * sq for p, sq in zip(powers, squares)]
-    # s^k = k! sum_m s(m, k) t^m / m!, so m [t^m] = sum_k w[k] s(m, k) / (m-1)!
-    kg = [_ZERO] * order
+    W = math.lcm(*(x.denominator for x in w))
+    w = [x.numerator * (W // x.denominator) for x in w]  # W w[k], integers
+    # s^k = k! sum_m s(m, k) t^m / m!, so A[m] = W m! [t^m] log(...)
+    # = sum_k W w[k] s(m, k)
+    A = [0] * n
     stirling = [1]  # s(m, k) for k = 0..m
-    for m in range(1, order):
+    for m in range(1, n):
         stirling = [0] + stirling
         for k in range(1, m):
             stirling[k] -= (m - 1) * stirling[k + 1]
-        terms = (w[k] * stirling[k] for k in range(2, m + 1, 2))
-        kg[m] = sum(terms, w[1] * stirling[1]) / math.factorial(m - 1)
-    e = [Fraction(1, math.factorial(n))] + [_ZERO] * (order - 1)
-    for m in range(1, order):
-        e[m] = sum((kg[k] * e[m - k] for k in range(1, m + 1)), _ZERO) / m
-    return e
+        evens = map(operator.mul, w[2 : m + 1 : 2], stirling[2 : m + 1 : 2])
+        A[m] = sum(evens, w[1] * stirling[1])
+    # f[m] = m! [t^m] prod = F[m] / D obeys f[m] = (1/W) sum_k binom(m-1, k-1)
+    # A[k] f[m-k]; D is raised only where the division by W is not exact
+    F, D = [1], math.factorial(n)
+    for m in range(1, n):
+        terms = map(operator.mul, map(math.comb, repeat(m - 1), range(m)), A[1 : m + 1])
+        acc = sum(map(operator.mul, terms, reversed(F)))
+        quot, rem = divmod(acc, W)
+        if rem:  # the least raise: D times W / g makes F[m] = acc / g whole
+            g = math.gcd(acc, W)
+            F = [W // g * x for x in F]
+            D *= W // g
+            quot = acc // g
+        F.append(quot)
+    return [Fraction(x, D * math.factorial(m)) for m, x in enumerate(F)]
 
 
 def _row(N: int, q) -> tuple:
@@ -109,7 +127,7 @@ def exact_coefficients(N: int) -> CoefficientVector:
     """Exact C(N, l) for l = 1..N, from the log/exp start alone."""
     if N < 1:
         raise ValueError("undefined: empty product has no pole")
-    return CoefficientVector(N, _row(N, _logexp(N, N)))
+    return CoefficientVector(N, _row(N, _logexp(N)))
 
 
 def coefficient_range(n_from: int, n_to: int) -> Iterator[CoefficientVector]:

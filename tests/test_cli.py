@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 import radpfd.cli as cli
 import radpfd.contour as contour
+from radpfd.exact import CoefficientVector
 from radpfd.report import RunConfig, parse_csv
 from radpfd.saddle import saddle_constants
 
@@ -123,6 +125,29 @@ class TestExact:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: precision must be at least 64 bits\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--float-exact"]])
+    def test_n_above_the_cap_exits_2_before_any_work(self, capsys, monkeypatch, flags):
+        def unswept(N):
+            raise AssertionError("coefficients computed for an N above the cap")
+
+        monkeypatch.setattr(cli, "exact_coefficients", unswept)
+        assert cli.main(["exact", "--N", "501"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --N must be at most 500, got 501\n"
+
+    def test_n_at_the_cap_is_computed(self, capsys, monkeypatch):
+        calls = []
+
+        def stub(N):
+            calls.append(N)
+            return CoefficientVector(N, (Fraction(1, 2),) * N)
+
+        monkeypatch.setattr(cli, "exact_coefficients", stub)
+        assert cli.main(["exact", "--N", "500"]) == 0
+        assert calls == [500]
+        assert capsys.readouterr().out == "C(500, 1) = 1/2 = 0.5\n"
 
 
 # (N, l) pairs that name no coefficient, with the usage error each gets

@@ -198,6 +198,26 @@ def _no_nodes(*args):
     raise AssertionError("arc nodes computed for a rejected count")
 
 
+def plain_legendre_p(n, x):
+    """Reference for _legendre_p: the same recurrence on plain mpf objects."""
+    p0, p1 = mp.mpf(1), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("prec", [64, 256, 512])
+    @pytest.mark.parametrize("n", [8, 20, 32])
+    def test_bit_identical_to_plain_mpf_recurrence(self, monkeypatch, n, prec):
+        monkeypatch.setattr(contour, "_LEGENDRE_CACHE", {})
+        got = contour._legendre_rule(n, prec)
+        monkeypatch.setattr(contour, "_LEGENDRE_CACHE", {})
+        monkeypatch.setattr(contour, "_legendre_p", plain_legendre_p)
+        want = contour._legendre_rule(n, prec)
+        assert [(x._mpf_, w._mpf_) for x, w in got] == [(x._mpf_, w._mpf_) for x, w in want]
+
+
 class TestNodeLadder:
     """integral_approx_C doubles 64 -> 128 -> ... -> 1024 nodes until two
     successive counts agree to 1e-6 relative."""

@@ -92,6 +92,18 @@ class TestCoefficients:
     def test_range_matches_log_exp_beyond_the_pinned_window(self):
         assert next(coefficient_range(200, 200)) == exact_coefficients(200)
 
+    def test_one_n_matches_range_at_every_n_to_100(self):
+        # the log/exp start raises its common denominator for every N >= 2
+        # here; one sweep 1..100 gives the independent rows
+        assert [exact_coefficients(N) for N in range(1, 101)] == list(coefficient_range(1, 100))
+
+    # recorded from the log/exp start on Fractions, whose row at N = 300
+    # equals next(coefficient_range(300, 300))
+    N300_SHA256 = "b28d95d609aa063750d9d39dc5e623f002aa4bc6b25c943dff182444db253883"
+
+    def test_one_n_rationals_at_300_are_pinned(self):
+        assert self._digest({300: exact_coefficients(300)}) == self.N300_SHA256
+
     def test_every_value_is_a_fraction(self):
         vectors = [exact_coefficients(1), exact_coefficients(2)]
         vectors += coefficient_range(1, 12)
