@@ -44,8 +44,9 @@ from .svg import line_chart
 
 __all__ = ["main", "write_figures", "run_checks"]
 
-# exact --N above this exits 2 before any work: exact_coefficients costs
-# O(N^2) big-integer steps whose operands grow with N, about N^4 in all
+# exact --N, and the --to of the exact sweeps in disproof and compare, above
+# this exit 2 before any work: exact_coefficients costs O(N^2) big-integer
+# steps whose operands grow with N, about N^4 in all
 _EXACT_MAX_N = 500
 
 
@@ -122,9 +123,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _check_range(args):
+def _check_range(args, exact: bool):
+    """Reject an empty range, and an exact sweep past _EXACT_MAX_N."""
     if not 1 <= args.n_from <= args.n_to:
         raise ValueError(f"need 1 <= --from <= --to, got {args.n_from}..{args.n_to}")
+    if exact and args.n_to > _EXACT_MAX_N:
+        raise ValueError(
+            f"--to must be at most {_EXACT_MAX_N} for exact values, got {args.n_to}"
+        )
 
 
 def cmd_constants(args) -> int:
@@ -182,8 +188,8 @@ def cmd_integral(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_range(args)
     modes = frozenset(m.strip() for m in args.modes.split(",") if m.strip())
+    _check_range(args, "exact" in modes)
     cfg = RunConfig(
         precision_bits=args.prec_bits,
         n_from=args.n_from,
@@ -249,7 +255,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_disproof(args) -> int:
-    _check_range(args)
+    _check_range(args, exact=True)
     if not 1 <= args.l <= args.n_to:
         raise ValueError(f"--l must be in 1..{args.n_to}, got {args.l}")
     prec = args.prec_bits
@@ -319,7 +325,7 @@ def run_checks(precision: int = 256):
     yield "oracle matches exact at N = 20", diff < tiny, f"diff = {mp.nstr(diff, 3)}"
 
     path = [5j + (complex(sd.z0) - 5j) * t / 199 for t in range(200)]
-    ok = check_monotone_exponent(path, precision=128).ok
+    ok = check_monotone_exponent(path, precision=128)
     yield "growth exponent monotone toward the saddle", ok, ""
     grid = [(u, x) for u in (0.01, 0.05, 0.1) for x in (0.0, -1e-3, -1e-2)]
     yield "trig lower bound holds on sample grid", check_lower_bound_inequality(grid), ""

@@ -16,21 +16,24 @@ monotonicity of Re((Li2(e^z) - pi^2/6)/z) along a contour leg, a
 trigonometric lower bound on a rectangle, and the Euler-summation
 constant c with an independent quadrature check.
 
-Two module-wide caches hold per-node data that does not depend on l.
-The arc's node positions and expensive per-node data (dilogarithm values,
-branch logs) depend only on (node count, precision), never on (l, N);
-they go into append-only dicts.  The oracle's nodes and l-independent
-products prod_{j<=N} (1 - (1+x)^j) depend on (N, spec); one dict holds
-those of the latest (N, spec) only, so calls that vary l inside N reuse
-them and memory stays flat across N.  Cached values are computed exactly
-as uncached ones, so every result is the same bits with or without them.
-The package is not thread-safe: every routine sets mpmath's
-process-global working precision through mp.workprec, and the caches
-are shared unlocked, so concurrent calls corrupt each other's arithmetic.
+Three functools caches hold data that does not depend on l.  The
+Gauss-Legendre rule depends on (node count, precision) and the arc's
+per-node data (positions, dilogarithm values, branch logs) on (node
+count, precision, half or full arc), never on (l, N); both caches only
+grow.  The oracle's nodes and l-independent products
+prod_{j<=N} (1 - (1+x)^j) depend on (N, spec); an lru_cache of size one
+keeps those of the latest (N, spec) only (it drops the previous set once
+the next is built), so calls that vary l inside N reuse them and memory
+stays flat across N.  Cached values are computed exactly as uncached
+ones, so every result is the same bits with or without them.  The
+package is not thread-safe: every routine sets mpmath's process-global
+working precision through mp.workprec, so concurrent calls corrupt each
+other's arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -43,7 +46,6 @@ from .specfun import _GUARD, _check_precision, dilog
 __all__ = [
     "QuadratureSpec",
     "OracleValue",
-    "MonotoneReport",
     "oracle_spec",
     "integral_approx_C",
     "cauchy_oracle",
@@ -84,12 +86,6 @@ class OracleValue:
     node_doubling_delta: mp.mpf
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    ok: bool
-    violations: tuple  # indices i where value[i+1] < value[i]
-
-
 def oracle_spec(N: int, precision: Optional[int] = None) -> QuadratureSpec:
     """Default oracle contour for a given N: 8N + 64 nodes on radius 3/N,
     inside the pole-free annulus, with precision growing 1.5 bits per unit
@@ -111,9 +107,6 @@ def _pairwise_sum(values):
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-_LEGENDRE_CACHE: dict = {}
-
-
 def _legendre_p(n: int, x):
     """P_n(x) and P_n'(x) by the three-term recurrence, at the working
     precision of the caller.  The loop runs on raw mpf tuples, with the
@@ -131,12 +124,9 @@ def _legendre_p(n: int, x):
     return mp.mp.make_mpf(p1), mp.mp.make_mpf(dp)
 
 
+@functools.cache
 def _legendre_rule(n: int, precision: int):
     """Nodes and weights of n-point Gauss-Legendre on [-1, 1]."""
-    key = (n, precision)
-    got = _LEGENDRE_CACHE.get(key)
-    if got is not None:
-        return got
     with mp.workprec(precision + _GUARD):
         nodes = []
         for k in range(n):
@@ -150,14 +140,10 @@ def _legendre_rule(n: int, precision: int):
             dp = _legendre_p(n, x)[1]
             w = 2 / ((1 - x * x) * dp * dp)
             nodes.append((x, w))
-        result = tuple(nodes)
-    _LEGENDRE_CACHE[key] = result
-    return result
+        return tuple(nodes)
 
 
-_ARC_CACHE: dict = {}
-
-
+@functools.cache
 def _arc_nodes(nodes: int, precision: int, full: bool):
     """Per-node data on the arc theta in [pi/2, pi] (or [pi/2, 3pi/2]).
 
@@ -166,10 +152,6 @@ def _arc_nodes(nodes: int, precision: int, full: bool):
     independent of l and N, which is what makes batch comparison over
     many N cheap.
     """
-    key = (nodes, precision, full)
-    got = _ARC_CACHE.get(key)
-    if got is not None:
-        return got
     panel_size = min(32, nodes)
     panels = nodes // panel_size
     rule = _legendre_rule(panel_size, precision)
@@ -184,16 +166,14 @@ def _arc_nodes(nodes: int, precision: int, full: bool):
             mid = a + width / 2
             half = width / 2
             for x, w in rule:
-                theta = mid + half * x
-                z = 5 * mp.exp(mp.mpc(0, 1) * theta)
-                wdz = w * half * 5j * mp.exp(mp.mpc(0, 1) * theta)
-                li = dilog(mp.exp(z), precision).value
+                e = mp.exp(mp.mpc(0, 1) * (mid + half * x))
+                z = 5 * e
+                ez = mp.exp(z)
+                li = dilog(ez, precision).value
                 out.append(
-                    (z, wdz, mp.log(-z), 1 / mp.sqrt(1 - mp.exp(z)), (li - pi2_6) / z)
+                    (z, w * half * 5j * e, mp.log(-z), 1 / mp.sqrt(1 - ez), (li - pi2_6) / z)
                 )
-        result = tuple(out)
-    _ARC_CACHE[key] = result
-    return result
+        return tuple(out)
 
 
 def _check_arc(l: int, N: int, nodes: int, precision: int):
@@ -252,18 +232,11 @@ def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
         coarse = fine
 
 
-_ORACLE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _oracle_nodes(N: int, spec: QuadratureSpec):
     """The 2M trapezoid nodes x = r e^{i pi k / M} with prod_{j<=N} (1 - (1+x)^j),
     independent of l.  Only the latest (N, spec) is kept, so a sweep over l
     at one N computes them once and memory stays flat over many N."""
-    key = (N, spec)
-    got = _ORACLE_CACHE.get(key)
-    if got is not None:
-        return got
-    _ORACLE_CACHE.clear()  # before the new nodes exist, so two sets never coexist
     M = spec.nodes
     with mp.workprec(spec.precision + _GUARD):
         r = mp.mpf(spec.radius)
@@ -277,9 +250,7 @@ def _oracle_nodes(N: int, spec: QuadratureSpec):
                 prod *= 1 - yj
                 yj *= y
             out.append((x, prod))
-        result = tuple(out)
-    _ORACLE_CACHE[key] = result
-    return result
+        return tuple(out)
 
 
 def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
@@ -305,7 +276,7 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
         return OracleValue(value=fine, node_doubling_delta=mp.mpf(abs(fine - coarse)))
 
 
-def check_monotone_exponent(path, precision: int = 128) -> MonotoneReport:
+def check_monotone_exponent(path, precision: int = 128) -> bool:
     """Whether Re((Li2(e^z) - pi^2/6)/z) is nondecreasing along the path.
 
     The quantity is the growth exponent of the integrand along a contour
@@ -322,10 +293,7 @@ def check_monotone_exponent(path, precision: int = 128) -> MonotoneReport:
                 raise ValueError("path leaves the half-plane Re z <= 0")
             li = dilog(mp.exp(z), precision).value
             samples.append(((li - pi2_6) / z).real)
-        bad = tuple(
-            i for i in range(len(samples) - 1) if samples[i + 1] < samples[i]
-        )
-        return MonotoneReport(ok=not bad, violations=bad)
+        return not any(b < a for a, b in zip(samples, samples[1:]))
 
 
 def check_lower_bound_inequality(grid, rhs_scale: float = 1.0) -> bool:
@@ -376,11 +344,12 @@ def constant_c(precision: int = 256) -> mp.mpf:
         return mp.mpf(total.real)
 
 
-def constant_c_euler_check(precision: int = 128) -> mp.mpf:
+def constant_c_euler_check() -> mp.mpf:
     """Relative deviation between the closed-form c and the direct
     quadrature of -log(1 - cos(5x/N)) over [floor(N/10), N+1] at
-    N = 10^4, whose value is -cN up to an O(1) remainder.  Small output
-    (under 1e-3) confirms both computations."""
+    N = 10^4, whose value is -cN up to an O(1) remainder, both at 128
+    bits.  Small output (under 1e-3) confirms both computations."""
+    precision = 128
     with mp.workprec(precision + _GUARD):
         nn = mp.mpf(10**4)
 

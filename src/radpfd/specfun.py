@@ -253,10 +253,6 @@ def _phi_pair(z, precision):
         u = 1 - ez
         if u == 0:
             raise ValueError("singular: e^z = 1")
-        if u.imag == 0 and u.real < 0:
-            # Unreachable for Re z <= 0 (there Re(1 - e^z) >= 0); kept as
-            # a branch-cut guard.
-            raise ValueError("log branch cut: 1 - e^z is negative real")
         log_u = mp.log(u)
         rate = _dilog_value(ez, precision) - _pi2_over_6()
         return log_u + rate / z, -ez / u - log_u / z - rate / z**2

@@ -26,10 +26,10 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1
-    raw = (hi - lo) / count
+    raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         step = mag * mult

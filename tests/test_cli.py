@@ -9,6 +9,7 @@ import pytest
 
 import radpfd.cli as cli
 import radpfd.contour as contour
+import radpfd.report as report
 from radpfd.exact import CoefficientVector
 from radpfd.report import RunConfig, parse_csv
 from radpfd.saddle import saddle_constants
@@ -205,6 +206,14 @@ class TestAsymptoticAndIntegral:
         assert abs(got - want) < abs(want) * mp.mpf("0.2")
 
 
+def _unswept(*args):
+    raise AssertionError("exact sweep started above the cap")
+
+
+def _unsolved(precision):
+    raise AssertionError("saddle solved for a range above the cap")
+
+
 class TestCompare:
     def test_csv_on_stdout_parses(self, capsys):
         assert cli.main(["compare", "--from", "1", "--to", "6"]) == 0
@@ -271,6 +280,24 @@ class TestCompare:
         rows = parse_csv(capsys.readouterr().out)
         assert rows[0].integral is not None and rows[0].asymptotic is None
 
+    @pytest.mark.parametrize("modes", ["exact", "exact,asymptotic", "exact,integral"])
+    def test_exact_sweep_past_the_cap_exits_2_before_any_work(
+        self, capsys, monkeypatch, modes
+    ):
+        monkeypatch.setattr(report, "coefficient_range", _unswept)
+        monkeypatch.setattr(report, "saddle_constants", _unsolved)
+        assert cli.main(["compare", "--from", "1", "--to", "501", "--modes", modes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --to must be at most 500 for exact values, got 501\n"
+
+    def test_asymptotic_mode_past_the_cap_is_computed(self, capsys):
+        argv = ["compare", "--from", "500", "--to", "501", "--modes", "asymptotic"]
+        assert cli.main(argv) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert [r.N for r in rows] == [500, 501]
+        assert rows[1].asymptotic is not None and rows[1].exact is None
+
     def test_integral_mode_doubles_nodes_past_128(self, capsys):
         # 128 nodes give 469.92; 256 and 512 nodes agree on 470.1144
         argv = ["compare", "--from", "225", "--to", "225", "--modes", "integral"]
@@ -334,6 +361,14 @@ class TestDisproof:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "two oscillation periods" in captured.err
+
+    def test_range_past_the_cap_exits_2_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "coefficient_range", _unswept)
+        monkeypatch.setattr(cli, "saddle_constants", _unsolved)
+        assert cli.main(["disproof", "--from", "80", "--to", "501"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --to must be at most 500 for exact values, got 501\n"
 
     def test_l_zero_is_usage_error(self, capsys):
         assert cli.main(["disproof", "--from", "1", "--to", "66", "--l", "0"]) == 2

@@ -5,7 +5,6 @@ import pytest
 
 import radpfd.contour as contour
 from radpfd.contour import (
-    MonotoneReport,
     QuadratureSpec,
     _arc_integral,
     cauchy_oracle,
@@ -89,27 +88,29 @@ class TestOracleCache:
 
     def test_value_does_not_depend_on_earlier_calls(self):
         spec = oracle_spec(12)
-        contour._ORACLE_CACHE.clear()
+        contour._oracle_nodes.cache_clear()
         fresh = self.bits(2, 12, spec)
         for before in (
             (1, 12, spec),  # another l at the same (N, spec)
             (2, 10, oracle_spec(10)),  # another N
             (2, 12, oracle_spec(12, precision=spec.precision + 64)),  # another precision
         ):
-            contour._ORACLE_CACHE.clear()
+            contour._oracle_nodes.cache_clear()
             cauchy_oracle(*before)
             assert self.bits(2, 12, spec) == fresh
 
     def test_holds_the_latest_key_only(self):
-        contour._ORACLE_CACHE.clear()
+        contour._oracle_nodes.cache_clear()
         for N in (6, 8):
             spec = oracle_spec(N)
+            misses = contour._oracle_nodes.cache_info().misses
             for l in (1, 2, 3):
                 cauchy_oracle(l, N, spec)
-                assert list(contour._ORACLE_CACHE) == [(N, spec)]
-            nodes = contour._ORACLE_CACHE[(N, spec)]
+                info = contour._oracle_nodes.cache_info()
+                assert (info.currsize, info.misses) == (1, misses + 1)
+            nodes = contour._oracle_nodes(N, spec)
             cauchy_oracle(4, N, spec)
-            assert contour._ORACLE_CACHE[(N, spec)] is nodes
+            assert contour._oracle_nodes(N, spec) is nodes
 
 
 class TestArcIntegral:
@@ -194,6 +195,14 @@ class TestArcIntegral:
             assert abs(v96 - v128) < mp.mpf("1e-10") * abs(v128)
 
 
+class TestArcNodeCache:
+    def test_same_key_is_a_hit_on_the_same_object(self):
+        first = contour._arc_nodes(16, 64, False)
+        hits = contour._arc_nodes.cache_info().hits
+        assert contour._arc_nodes(16, 64, False) is first
+        assert contour._arc_nodes.cache_info().hits == hits + 1
+
+
 def _no_nodes(*args):
     raise AssertionError("arc nodes computed for a rejected count")
 
@@ -210,11 +219,14 @@ class TestLegendreRule:
     @pytest.mark.parametrize("prec", [64, 256, 512])
     @pytest.mark.parametrize("n", [8, 20, 32])
     def test_bit_identical_to_plain_mpf_recurrence(self, monkeypatch, n, prec):
-        monkeypatch.setattr(contour, "_LEGENDRE_CACHE", {})
+        contour._legendre_rule.cache_clear()
         got = contour._legendre_rule(n, prec)
-        monkeypatch.setattr(contour, "_LEGENDRE_CACHE", {})
+        contour._legendre_rule.cache_clear()
         monkeypatch.setattr(contour, "_legendre_p", plain_legendre_p)
-        want = contour._legendre_rule(n, prec)
+        try:
+            want = contour._legendre_rule(n, prec)
+        finally:
+            contour._legendre_rule.cache_clear()  # drop the rule built on the reference
         assert [(x._mpf_, w._mpf_) for x, w in got] == [(x._mpf_, w._mpf_) for x, w in want]
 
 
@@ -252,19 +264,14 @@ class TestNodeLadder:
 class TestMonotoneExponent:
     def test_leg_toward_the_saddle_is_monotone(self, sd):
         path = [5j + (complex(sd.z0) - 5j) * t / 199 for t in range(200)]
-        report = check_monotone_exponent(path, precision=128)
-        assert isinstance(report, MonotoneReport)
-        assert report.ok
-        assert report.violations == ()
+        assert check_monotone_exponent(path, precision=128) is True
 
     def test_constant_path_is_vacuously_monotone(self):
-        assert check_monotone_exponent([-1 + 2j] * 5, precision=96).ok
+        assert check_monotone_exponent([-1 + 2j] * 5, precision=96) is True
 
     def test_reversed_path_fails(self, sd):
         path = [5j + (complex(sd.z0) - 5j) * t / 49 for t in range(50)]
-        report = check_monotone_exponent(path[::-1], precision=96)
-        assert not report.ok
-        assert len(report.violations) > 0
+        assert check_monotone_exponent(path[::-1], precision=96) is False
 
     def test_rejects_right_half_plane(self):
         with pytest.raises(ValueError):
