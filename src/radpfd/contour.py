@@ -25,10 +25,16 @@ prod_{j<=N} (1 - (1+x)^j) depend on (N, spec); an lru_cache of size one
 keeps those of the latest (N, spec) only (it drops the previous set once
 the next is built), so calls that vary l inside N reuse them and memory
 stays flat across N.  Cached values are computed exactly as uncached
-ones, so every result is the same bits with or without them.  The
-package is not thread-safe: every routine sets mpmath's process-global
-working precision through mp.workprec, so concurrent calls corrupt each
-other's arithmetic.
+ones, so every result is the same bits with or without them.
+
+The node tables (the arc's per-node data, the oracle's products and the
+Li2 samples of the monotonicity witness) are built by specfun._split_map:
+on hosts with 2 or more usable CPUs it forks one child, which computes
+every other node at the same working precision, so the tables are the
+bits of the serial loop.  The package is still not thread-safe and must
+not be used from threads: fork and mp.workprec are both process-wide,
+and every routine sets mpmath's global working precision, so concurrent
+calls corrupt each other's arithmetic.
 """
 
 from __future__ import annotations
@@ -39,9 +45,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_mul_int, mpf_sub
+from mpmath.libmp import (
+    fone,
+    from_int,
+    mpc_add_mpf,
+    mpc_mul,
+    mpc_one,
+    mpc_sub,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_sub,
+)
 
-from .specfun import _GUARD, _check_precision, dilog
+from .specfun import _GUARD, _check_precision, _split_map, dilog
 
 __all__ = [
     "QuadratureSpec",
@@ -159,21 +176,20 @@ def _arc_nodes(nodes: int, precision: int, full: bool):
         lo = mp.pi / 2
         hi = 3 * mp.pi / 2 if full else mp.pi
         width = (hi - lo) / panels
+        half = width / 2
         pi2_6 = mp.pi**2 / 6
-        out = []
-        for panel in range(panels):
-            a = lo + panel * width
-            mid = a + width / 2
-            half = width / 2
-            for x, w in rule:
-                e = mp.exp(mp.mpc(0, 1) * (mid + half * x))
-                z = 5 * e
-                ez = mp.exp(z)
-                li = dilog(ez, precision).value
-                out.append(
-                    (z, w * half * 5j * e, mp.log(-z), 1 / mp.sqrt(1 - ez), (li - pi2_6) / z)
-                )
-        return tuple(out)
+
+        def node(item):
+            mid, x, w = item
+            e = mp.exp(mp.mpc(0, 1) * (mid + half * x))
+            z = 5 * e
+            ez = mp.exp(z)
+            li = dilog(ez, precision).value
+            invsq = 1 / mp.sqrt(1 - ez)
+            return (z, w * half * 5j * e, mp.log(-z), invsq, (li - pi2_6) / z)
+
+        mids = [lo + panel * width + half for panel in range(panels)]
+        return tuple(_split_map(node, [(mid, x, w) for mid in mids for x, w in rule]))
 
 
 def _check_arc(l: int, N: int, nodes: int, precision: int):
@@ -236,21 +252,26 @@ def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
 def _oracle_nodes(N: int, spec: QuadratureSpec):
     """The 2M trapezoid nodes x = r e^{i pi k / M} with prod_{j<=N} (1 - (1+x)^j),
     independent of l.  Only the latest (N, spec) is kept, so a sweep over l
-    at one N computes them once and memory stays flat over many N."""
+    at one N computes them once and memory stays flat over many N.  The
+    product loop runs on raw mpc tuples with the libmpc calls that the mpc
+    expressions 1 + x, 1 - y^j and prod * (1 - y^j) make, so the products
+    are the same bits."""
     M = spec.nodes
     with mp.workprec(spec.precision + _GUARD):
         r = mp.mpf(spec.radius)
-        out = []
-        for k in range(2 * M):
+        prec, rnd = mp.mp._prec_rounding
+
+        def node(k):
             x = r * mp.expjpi(mp.mpf(k) / M)  # e^{i pi k / M}, 2M-th roots
-            y = 1 + x
+            y = mpc_add_mpf(x._mpc_, fone, prec, rnd)
             yj = y
-            prod = mp.mpc(1)
+            prod = mpc_one
             for _ in range(N):
-                prod *= 1 - yj
-                yj *= y
-            out.append((x, prod))
-        return tuple(out)
+                prod = mpc_mul(prod, mpc_sub(mpc_one, yj, prec, rnd), prec, rnd)
+                yj = mpc_mul(yj, y, prec, rnd)
+            return x, mp.mp.make_mpc(prod)
+
+        return tuple(_split_map(node, range(2 * M)))
 
 
 def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
@@ -283,16 +304,19 @@ def check_monotone_exponent(path, precision: int = 128) -> bool:
     leg; the error analysis needs it to increase toward the saddle.
     """
     with mp.workprec(precision + _GUARD):
-        pi2_6 = mp.pi**2 / 6
-        samples = []
-        for z in path:
-            z = mp.mpc(z)
+        zs = [mp.mpc(z) for z in path]
+        for z in zs:
             if z == 0:
                 raise ValueError("path touches z = 0")
             if z.real > 0:
                 raise ValueError("path leaves the half-plane Re z <= 0")
+        pi2_6 = mp.pi**2 / 6
+
+        def sample(z):
             li = dilog(mp.exp(z), precision).value
-            samples.append(((li - pi2_6) / z).real)
+            return ((li - pi2_6) / z).real
+
+        samples = _split_map(sample, zs)
         return not any(b < a for a, b in zip(samples, samples[1:]))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .specfun import _GUARD, _phi_pair
+from .specfun import _GUARD, _phi_pair, _split_map
 
 __all__ = [
     "SaddleData",
@@ -153,14 +153,20 @@ def argument_principle_count(precision: int = 128) -> int:
 
     Trapezoid rule with 128 nodes on (1/2 pi i) times the integral of
     phi'/phi; the integrand is analytic and periodic along the circle so
-    convergence is spectral.  The result is rounded to the nearest integer.
+    convergence is spectral.  The node terms come from specfun._split_map
+    and are summed here in node order.  The result is rounded to the
+    nearest integer.
     """
     nodes = 128
     with mp.workprec(precision + _GUARD):
         center = mp.mpc(_INITIAL)
-        acc = mp.mpc(0)
-        for k in range(nodes):
+
+        def term(k):
             w = mp.expjpi(mp.mpf(2 * k) / nodes)
             f, df = _phi_pair(center + w, precision)
-            acc += df / f * w
+            return df / f * w
+
+        acc = mp.mpc(0)
+        for t in _split_map(term, range(nodes)):
+            acc += t
         return int(mp.nint((acc / nodes).real))

@@ -11,11 +11,15 @@ together with its derivative.  Precision is always an explicit argument in
 mantissa bits, never ambient mpmath state; internally each routine works at
 precision + 32 guard bits.  Functions returning an EvalResult report an
 upper bound on their truncation error alongside the value.
+
+The private helper _split_map, which the node tables of contour and saddle
+share, forks one child on hosts with 2 or more usable CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -40,6 +44,58 @@ __all__ = [
 ]
 
 _GUARD = 32
+_in_split_child = False  # set in the child of _split_map, which never forks again
+
+
+def _split_map(fn, items):
+    """[fn(x) for x in items], with the odd-indexed items computed in one
+    forked child while this process computes the even-indexed ones.
+
+    Each item runs the same fn at the same working precision in one of
+    the two processes, so the results are the bits of the serial list.
+    The child pickles its results into a pipe and ends with os._exit; if
+    it fails, this process computes its items too, so an exception rises
+    here with its usual type.  Serial with fewer than 2 items or 2 usable
+    CPUs, without os.fork or os.sched_getaffinity, and inside a split child.
+    """
+    global _in_split_child
+    items = list(items)
+    if (
+        len(items) < 2
+        or _in_split_child
+        or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+        or len(os.sched_getaffinity(0)) < 2
+    ):
+        return [fn(x) for x in items]
+    import pickle
+    import signal
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            _in_split_child = True
+            os.close(r)
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump([fn(x) for x in items[1::2]], pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    with os.fdopen(r, "rb") as pipe:
+        try:
+            even = [fn(x) for x in items[0::2]]
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    odd = pickle.loads(data) if status == 0 else [fn(x) for x in items[1::2]]
+    out = [None] * len(items)
+    out[0::2], out[1::2] = even, odd
+    return out
 
 
 @dataclass(frozen=True)

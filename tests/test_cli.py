@@ -474,3 +474,54 @@ class TestCheck:
         # recorded before the arc found its own node count
         digest = "7056e017c8d2d183373d12ff3761d120b41395b6a9d60fb32677e51ad79e3559"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_EVERY_COMMAND = [
+    ["constants"],
+    ["exact", "--N", "5"],
+    ["exact", "--N", "5", "--float-exact"],
+    ["asymptotic", "--N", "20"],
+    ["integral", "--N", "20"],
+    ["compare", "--from", "1", "--to", "3", "--modes", "exact,asymptotic,integral"],
+    ["figures"],
+    ["disproof"],
+    ["check"],
+]
+
+
+class TestPrecisionCap:
+    """--prec-bits above cli._MAX_PREC_BITS exits 2 before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def stub(*args, **kwargs):
+            raise AssertionError("work started above the precision cap")
+
+        for name in (
+            "saddle_constants",
+            "exact_coefficients",
+            "integral_approx_C",
+            "build_rows",
+            "figure_configs",
+            "write_figures",
+            "magnitude_series",
+            "run_checks",
+        ):
+            monkeypatch.setattr(cli, name, stub)
+
+    @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: " ".join(argv))
+    def test_above_the_cap_is_a_usage_error(self, capsys, no_work, argv):
+        bits = str(cli._MAX_PREC_BITS + 1)
+        assert cli.main(["--prec-bits", bits] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --prec-bits must be at most {cli._MAX_PREC_BITS}, got {bits}\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["constants"], ["exact", "--N", "5", "--float-exact"]])
+    def test_at_the_cap_prints_as_usual(self, capsys, argv):
+        assert cli.main(argv) == 0
+        default = capsys.readouterr().out
+        assert cli.main(["--prec-bits", str(cli._MAX_PREC_BITS)] + argv) == 0
+        assert capsys.readouterr().out == default

@@ -1,9 +1,13 @@
 """Arc integral, Cauchy oracle, and the proof-region numeric witnesses."""
 
+import hashlib
+import os
+
 import mpmath as mp
 import pytest
 
 import radpfd.contour as contour
+import radpfd.specfun as specfun
 from radpfd.contour import (
     QuadratureSpec,
     _arc_integral,
@@ -228,6 +232,104 @@ class TestLegendreRule:
         finally:
             contour._legendre_rule.cache_clear()  # drop the rule built on the reference
         assert [(x._mpf_, w._mpf_) for x, w in got] == [(x._mpf_, w._mpf_) for x, w in want]
+
+
+def _serial_map(fn, items):
+    return [fn(x) for x in items]
+
+
+def _digest(table):
+    """sha256 over the raw mpmath tuples of a node table."""
+    raw = [tuple(v._mpc_ for v in entry) for entry in table]
+    return hashlib.sha256(repr(raw).encode()).hexdigest()
+
+
+def plain_oracle_nodes(N, spec):
+    """Reference for _oracle_nodes: the product loop on plain mpc objects."""
+    M = spec.nodes
+    with mp.workprec(spec.precision + 32):
+        r = mp.mpf(spec.radius)
+        out = []
+        for k in range(2 * M):
+            x = r * mp.expjpi(mp.mpf(k) / M)
+            y = 1 + x
+            yj = y
+            prod = mp.mpc(1)
+            for _ in range(N):
+                prod *= 1 - yj
+                yj *= y
+            out.append((x, prod))
+        return out
+
+
+class TestOracleProducts:
+    @pytest.mark.parametrize("prec", [None, 512])
+    @pytest.mark.parametrize("N", [1, 2, 12, 20])
+    def test_bit_identical_to_plain_mpc_loop(self, N, prec):
+        spec = oracle_spec(N, precision=prec)
+        contour._oracle_nodes.cache_clear()
+        assert _digest(contour._oracle_nodes(N, spec)) == _digest(plain_oracle_nodes(N, spec))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report two usable CPUs, so _split_map forks on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestSplitMap:
+    """_split_map forks one child for the odd-indexed items; the tables it
+    builds are the bits of the serial list."""
+
+    def tables(self):
+        contour._arc_nodes.cache_clear()
+        contour._oracle_nodes.cache_clear()
+        arcs = ((64, False), (128, False), (64, True))
+        tables = [contour._arc_nodes(n, 256, full) for n, full in arcs]
+        for prec in (None, 512):
+            contour._oracle_nodes.cache_clear()
+            tables.append(contour._oracle_nodes(20, oracle_spec(20, precision=prec)))
+        contour._arc_nodes.cache_clear()
+        contour._oracle_nodes.cache_clear()
+        return [_digest(t) for t in tables]
+
+    def test_tables_are_the_serial_bits(self, monkeypatch, two_cpus):
+        split = self.tables()
+        monkeypatch.setattr(contour, "_split_map", _serial_map)
+        assert split == self.tables()
+
+    def test_results_in_item_order(self, two_cpus):
+        assert specfun._split_map(lambda x: x * x, range(7)) == [x * x for x in range(7)]
+
+    @pytest.mark.parametrize("bad", [2, 3])  # computed here, computed in the child
+    def test_an_error_rises_here_and_no_child_is_left(self, two_cpus, bad):
+        def fn(x):
+            if x == bad:
+                raise ValueError(f"bad item {x}")
+            return x
+
+        with pytest.raises(ValueError, match=f"bad item {bad}"):
+            specfun._split_map(fn, range(6))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_usable_cpu_does_not_fork(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert specfun._split_map(lambda x: (x, os.getpid()), range(4)) == [
+            (x, os.getpid()) for x in range(4)
+        ]
+
+    def test_a_split_child_does_not_fork_again(self, two_cpus):
+        def pids(_):
+            return os.getpid(), specfun._split_map(lambda _: os.getpid(), range(2))
+
+        (_, _), (child, nested) = specfun._split_map(pids, range(2))
+        assert child != os.getpid()
+        assert nested == [child, child]
 
 
 class TestNodeLadder:

@@ -11,6 +11,7 @@ from radpfd.saddle import (
     asymptotic_C,
     saddle_constants,
 )
+import radpfd.saddle as saddle
 import radpfd.specfun as specfun
 from radpfd.specfun import dilog, phi
 
@@ -85,6 +86,8 @@ class TestOneDilogPerPoint:
             return inner(w, precision, depth)
 
         monkeypatch.setattr(specfun, "_dilog_value", counting)
+        # the spy sees this process only: compute every node here
+        monkeypatch.setattr(saddle, "_split_map", lambda fn, items: [fn(x) for x in items])
         return seen
 
     def test_newton(self, dilog_args):
