@@ -30,6 +30,7 @@ from .contour import (
 from .exact import decimal_str, exact_coefficients, rational_str
 from .report import (
     RunConfig,
+    _exact_window,
     _to_mpf,
     analyze_divergence,
     build_rows,
@@ -252,6 +253,7 @@ def write_figures(configs, out_dir: Path, emit_svg: bool):
                 )
             )
             written.append(svg_path)
+    _exact_window.cache_clear()  # the configs share windows; later callers do not
     return written
 
 

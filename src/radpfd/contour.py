@@ -31,16 +31,22 @@ The node tables (the arc's per-node data, the oracle's products and the
 Li2 samples of the monotonicity witness) are built by specfun._split_map:
 on hosts with 2 or more usable CPUs it forks one child, which computes
 every other node at the same working precision, so the tables are the
-bits of the serial loop.  The package is still not thread-safe and must
-not be used from threads: fork and mp.workprec are both process-wide,
-and every routine sets mpmath's global working precision, so concurrent
-calls corrupt each other's arithmetic.
+bits of the serial loop.  The arc integrals of a sweep over N
+(_integrals, which report.build_rows uses) run the first N here, so its
+tables are built once and split, and then split the other N the same
+way; the child inherits the warm tables.  The arc sum and the oracle's
+products run on raw mpmath tuples with the libmpc calls of the plain
+mpc expressions, so they too are the same bits.  The package is still
+not thread-safe and must not be used from threads: fork and mp.workprec
+are both process-wide, and every routine sets mpmath's global working
+precision, so concurrent calls corrupt each other's arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,10 +54,16 @@ import mpmath as mp
 from mpmath.libmp import (
     fone,
     from_int,
+    mpc_add,
     mpc_add_mpf,
+    mpc_div_mpf,
+    mpc_exp,
     mpc_mul,
+    mpc_mul_int,
+    mpc_mul_mpf,
     mpc_one,
     mpc_sub,
+    mpf_add,
     mpf_div,
     mpf_mul,
     mpf_mul_int,
@@ -114,14 +126,12 @@ def oracle_spec(N: int, precision: Optional[int] = None) -> QuadratureSpec:
     return QuadratureSpec(nodes=8 * N + 64, precision=max(64, precision), radius=3.0 / N)
 
 
-def _pairwise_sum(values):
+def _pairwise_sum(values, add=operator.add):
     n = len(values)
-    if n == 0:
-        return mp.mpc(0)
     if n == 1:
         return values[0]
     half = n // 2
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    return add(_pairwise_sum(values[:half], add), _pairwise_sum(values[half:], add))
 
 
 def _legendre_p(n: int, x):
@@ -205,21 +215,41 @@ def _check_arc(l: int, N: int, nodes: int, precision: int):
 def _arc_integral(l: int, N: int, nodes: int, precision: int, full: bool):
     """Arc sum at exactly `nodes` nodes: the real value from the upper
     half arc, or the complex value over the whole left arc, whose
-    imaginary part is quadrature noise (the true value is real)."""
+    imaginary part is quadrature noise (the true value is real).
+
+    The loop runs on raw mpc tuples with the libmpc calls that the mpc
+    expression exp((l - 1/2) log(-z) + z/N + N v) * invsq * wdz makes, and
+    sums the terms pairwise, so the value is the same bits.  The half arc
+    needs only the imaginary part of the sum, so it forms only the
+    imaginary part of each product with wdz and adds those."""
     _check_arc(l, N, nodes, precision)
     data = _arc_nodes(nodes, precision, full)
     with mp.workprec(precision + _GUARD):
-        half = l - mp.mpf(1) / 2
-        terms = [
-            mp.exp(half * logmz + z / N + N * v) * invsq * wdz
-            for (z, wdz, logmz, invsq, v) in data
-        ]
-        A = _pairwise_sum(terms)
+        prec, rnd = mp.mp._prec_rounding
+        half = (l - mp.mpf(1) / 2)._mpf_
+        n = from_int(N)
+        terms = []
+        for z, wdz, logmz, invsq, v in data:
+            t = mpc_add(
+                mpc_mul_mpf(logmz._mpc_, half, prec, rnd),
+                mpc_div_mpf(z._mpc_, n, prec, rnd),
+                prec,
+                rnd,
+            )
+            t = mpc_add(t, mpc_mul_int(v._mpc_, N, prec, rnd), prec, rnd)
+            t = mpc_mul(mpc_exp(t, prec, rnd), invsq._mpc_, prec, rnd)
+            if full:
+                terms.append(mpc_mul(t, wdz._mpc_, prec, rnd))
+            else:
+                (a, b), (c, d) = t, wdz._mpc_
+                terms.append(mpf_add(mpf_mul(a, d), mpf_mul(b, c), prec, rnd))
         sign = 1 if l % 2 == 1 else -1
         norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
         if full:
+            A = mp.mp.make_mpc(_pairwise_sum(terms, lambda x, y: mpc_add(x, y, prec, rnd)))
             return sign * A / (mp.mpc(0, 1) * norm)
-        return mp.mpf(sign * 2 * A.imag / norm)
+        imag = mp.mp.make_mpf(_pairwise_sum(terms, lambda x, y: mpf_add(x, y, prec, rnd)))
+        return mp.mpf(sign * 2 * imag / norm)
 
 
 def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
@@ -246,6 +276,19 @@ def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
                     f"doubling delta {mp.nstr(delta / scale, 3)} exceeds {_REL_TOL:g}"
                 )
         coarse = fine
+
+
+def _integrals(l: int, Ns, precision: int):
+    """[integral_approx_C(l, N, precision) for N in Ns], Ns nonempty.
+
+    The first N runs here, so the node tables of its ladder are built
+    once, each split across the CPUs; specfun._split_map then splits the
+    other N, and a forked child inherits the warm tables.  An N whose
+    ladder fails raises here; with several failing N, which one the
+    error names may differ from the serial loop."""
+    first, *rest = Ns
+    head = integral_approx_C(l, first, precision)
+    return [head] + _split_map(lambda N: integral_approx_C(l, N, precision), rest)
 
 
 @functools.lru_cache(maxsize=1)

@@ -9,6 +9,7 @@ bytes, and parsing an emitted CSV and re-emitting it is the identity.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from .contour import integral_approx_C
+from .contour import _integrals
 from .exact import coefficient_range, decimal_str, parse_rational, rational_str
 from .saddle import asymptotic_C, saddle_constants
 from .specfun import _GUARD, _check_precision
@@ -92,12 +93,23 @@ def _to_mpf(q: Fraction, precision: int) -> mp.mpf:
         return mp.mpf(q.numerator) / q.denominator
 
 
+@functools.lru_cache(maxsize=1)
+def _exact_window(n_from: int, n_to: int):
+    """{N: (C(N, 1), ..., C(N, N))} over n_from..n_to from one incremental
+    sweep.  The latest window is kept, so figures whose configs share an
+    exact window (fig1 and fig2) sweep it once; cli.write_figures drops it
+    when it is done."""
+    return {vec.N: vec.values for vec in coefficient_range(n_from, n_to)}
+
+
 def build_rows(cfg: RunConfig):
     """One ComparisonRow per N in [n_from, n_to] for the configured l.
 
     Exact values come from a single incremental sweep over the N >= l
-    of the range; rows where l > N leave every cell empty (no such
-    coefficient exists, so nothing approximates it).
+    of the range, and the integral column from contour._integrals, which
+    splits the arc integrals of those N across the CPUs; rows where
+    l > N leave every cell empty (no such coefficient exists, so nothing
+    approximates it).
     """
     want_exact = "exact" in cfg.modes
     want_asym = "asymptotic" in cfg.modes
@@ -105,11 +117,9 @@ def build_rows(cfg: RunConfig):
     prec = cfg.precision_bits
     sd = saddle_constants(prec) if want_asym and cfg.l <= cfg.n_to else None
 
-    exact_values = {}  # N -> (C(N, 1), ..., C(N, N)), for N >= l only
-    first = max(cfg.n_from, cfg.l)
-    if want_exact and first <= cfg.n_to:
-        for vec in coefficient_range(first, cfg.n_to):
-            exact_values[vec.N] = vec.values
+    Ns = range(max(cfg.n_from, cfg.l), cfg.n_to + 1)  # the N >= l only
+    exact_values = _exact_window(Ns.start, Ns.stop - 1) if want_exact and Ns else {}
+    integrals = dict(zip(Ns, _integrals(cfg.l, Ns, prec))) if want_int and Ns else {}
 
     rows = []
     for N in range(cfg.n_from, cfg.n_to + 1):
@@ -133,7 +143,7 @@ def build_rows(cfg: RunConfig):
                     abs_err = abs(exact_val - asym)
                     if exact_val != 0:
                         rel_err = abs_err / abs(exact_val)
-        integ = integral_approx_C(cfg.l, N, prec) if want_int else None
+        integ = integrals.get(N)
         rows.append(
             ComparisonRow(
                 N=N,

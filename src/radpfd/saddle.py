@@ -15,6 +15,7 @@ here.  The growth factor per period is b^p, about 8.81.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -118,6 +119,18 @@ def saddle_constants(precision: int = 256) -> SaddleData:
         )
 
 
+@functools.cache
+def _amplitude(l: int, sd: SaddleData):
+    """(scale, K) of H_l: K = rho (-z0)^{l-1/2} / sqrt(1 - e^{z0}) on
+    principal branches and scale = +-sqrt(1/alpha)/pi, negative for even
+    l.  They depend on (l, sd) only, not on N."""
+    with mp.workprec(sd.precision + _GUARD):
+        ez = mp.exp(sd.z0)
+        K = sd.rho * (-sd.z0) ** (l - mp.mpf(1) / 2) / mp.sqrt(1 - ez)
+        scale = mp.sqrt(1 / sd.alpha) / mp.pi
+        return (-scale if l % 2 == 0 else scale), K
+
+
 def H(l: int, N, sd: SaddleData) -> mp.mpf:
     """Bounded periodic amplitude H_l(N), period p in N.
 
@@ -126,15 +139,9 @@ def H(l: int, N, sd: SaddleData) -> mp.mpf:
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
+    scale, K = _amplitude(l, sd)
     with mp.workprec(sd.precision + _GUARD):
-        N = mp.mpf(N)
-        ez = mp.exp(sd.z0)
-        # K = rho (-z0)^{l-1/2} / sqrt(1 - e^{z0}), principal branches.
-        K = sd.rho * (-sd.z0) ** (l - mp.mpf(1) / 2) / mp.sqrt(1 - ez)
-        scale = mp.sqrt(1 / sd.alpha) / mp.pi
-        if l % 2 == 0:
-            scale = -scale
-        angle = N * sd.theta
+        angle = mp.mpf(N) * sd.theta
         return mp.mpf(scale * (K.imag * mp.cos(angle) - K.real * mp.sin(angle)))
 
 

@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -41,3 +42,9 @@ def batch_vectors():
 def mid_vectors():
     """Exact coefficient vectors for N = 1..70 (integral comparison range)."""
     return {vec.N: vec for vec in coefficient_range(1, 70)}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report two usable CPUs, so specfun._split_map forks on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -331,6 +331,21 @@ class TestFigures:
         assert "exact vs integral" in svg
         assert "<script" not in svg
 
+    def test_configs_share_one_exact_sweep_then_drop_it(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = report.coefficient_range
+
+        def spy(n_from, n_to):
+            calls.append((n_from, n_to))
+            return real(n_from, n_to)
+
+        monkeypatch.setattr(cli, "figure_configs", _tiny_figures)
+        monkeypatch.setattr(report, "coefficient_range", spy)
+        report._exact_window.cache_clear()
+        assert cli.main(["figures", "--out", str(tmp_path)]) == 0
+        assert calls == [(3, 8)]
+        assert report._exact_window.cache_info().currsize == 0
+
     def test_bad_format_is_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["figures", "--format", "xml"])

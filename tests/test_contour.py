@@ -199,6 +199,36 @@ class TestArcIntegral:
             assert abs(v96 - v128) < mp.mpf("1e-10") * abs(v128)
 
 
+def plain_arc_integral(l, N, nodes, precision, full):
+    """Reference for _arc_integral: the sum on plain mpc objects."""
+    data = contour._arc_nodes(nodes, precision, full)
+    with mp.workprec(precision + 32):
+        half = l - mp.mpf(1) / 2
+        terms = [
+            mp.exp(half * logmz + z / N + N * v) * invsq * wdz
+            for (z, wdz, logmz, invsq, v) in data
+        ]
+        A = contour._pairwise_sum(terms)
+        sign = 1 if l % 2 == 1 else -1
+        norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
+        if full:
+            return sign * A / (mp.mpc(0, 1) * norm)
+        return mp.mpf(sign * 2 * A.imag / norm)
+
+
+class TestArcKernel:
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("nodes", [32, 64, 128])
+    def test_bit_identical_to_plain_mpc_loop(self, nodes, prec, full):
+        raw = "_mpc_" if full else "_mpf_"
+        for l in (1, 2, 5):
+            for N in (1, 7, 20, 40, 88, 150):
+                got = _arc_integral(l, N, nodes, prec, full)
+                want = plain_arc_integral(l, N, nodes, prec, full)
+                assert getattr(got, raw) == getattr(want, raw), (l, N)
+
+
 class TestArcNodeCache:
     def test_same_key_is_a_hit_on_the_same_object(self):
         first = contour._arc_nodes(16, 64, False)
@@ -269,12 +299,6 @@ class TestOracleProducts:
         spec = oracle_spec(N, precision=prec)
         contour._oracle_nodes.cache_clear()
         assert _digest(contour._oracle_nodes(N, spec)) == _digest(plain_oracle_nodes(N, spec))
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Report two usable CPUs, so _split_map forks on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 class TestSplitMap:

@@ -1,12 +1,14 @@
 """Comparison rows, serialization round-trips, and peak analysis."""
 
 import json
+import os
 
 import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from radpfd import report
+from radpfd import cli, contour, report
+from radpfd.contour import integral_approx_C
 from radpfd.exact import decimal_str
 from radpfd.report import (
     CSV_HEADER,
@@ -92,6 +94,7 @@ class TestBuildRows:
             return real(n_from, n_to)
 
         monkeypatch.setattr(report, "coefficient_range", spy)
+        report._exact_window.cache_clear()  # a window kept from another test is not swept
         rows = build_rows(RunConfig(PREC, 1, 100, 101, frozenset({"exact"})))
         assert calls == []
         assert len(rows) == 100
@@ -114,6 +117,76 @@ class TestBuildRows:
         with mp.workprec(PREC):
             exact_f = mp.mpf(q.numerator) / q.denominator
             assert abs(row.integral - exact_f) < abs(exact_f) * mp.mpf("0.35")
+
+    def test_configs_sharing_a_window_sweep_it_once(self, monkeypatch, small_vectors):
+        # fig1 and fig2 read the same exact window at l = 1 and l = 2
+        calls = []
+        real = report.coefficient_range
+
+        def spy(n_from, n_to):
+            calls.append((n_from, n_to))
+            return real(n_from, n_to)
+
+        monkeypatch.setattr(report, "coefficient_range", spy)
+        report._exact_window.cache_clear()
+        one, two = (build_rows(RunConfig(PREC, 5, 9, l, frozenset({"exact"}))) for l in (1, 2))
+        assert calls == [(5, 9)]
+        assert [r.exact for r in one] == [small_vectors[N].coeff(1) for N in range(5, 10)]
+        assert [r.exact for r in two] == [small_vectors[N].coeff(2) for N in range(5, 10)]
+
+
+def _serial_map(fn, items):
+    return [fn(x) for x in items]
+
+
+class TestIntegralSweep:
+    """build_rows takes the integral column from contour._integrals, which
+    runs the first N here and splits the others across the CPUs."""
+
+    CFG = RunConfig(PREC, 1, 8, 2, frozenset({"exact", "integral"}))
+
+    def cells(self):
+        return [None if r.integral is None else r.integral._mpf_ for r in build_rows(self.CFG)]
+
+    def want(self):
+        return [None] + [integral_approx_C(2, N, PREC)._mpf_ for N in range(2, 9)]
+
+    def test_serial_cells_are_the_per_n_values(self, monkeypatch):
+        monkeypatch.setattr(contour, "_split_map", _serial_map)
+        assert self.cells() == self.want()
+
+    def test_split_cells_are_the_per_n_values(self, two_cpus):
+        assert self.cells() == self.want()
+
+    def test_one_usable_cpu_does_not_fork(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.cells() == self.want()
+
+    # the split items are N = 3..8: N = 5 is the even-indexed item 2,
+    # computed here, and N = 6 the odd-indexed item 3, computed in the child
+    @pytest.mark.parametrize("bad", [5, 6])
+    def test_a_ladder_error_rises_and_no_child_is_left(self, monkeypatch, two_cpus, capsys, bad):
+        def ladder(l, N, precision):
+            if N == bad:
+                raise ArithmeticError(f"arc quadrature not converged at N = {N}")
+            return mp.mpf(N)
+
+        monkeypatch.setattr(contour, "integral_approx_C", ladder)
+        with pytest.raises(ArithmeticError, match=f"at N = {bad}"):
+            build_rows(self.CFG)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        argv = ["compare", "--from", "1", "--to", "8", "--l", "2", "--modes", "integral"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at N = {bad}" in captured.err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSerialization:

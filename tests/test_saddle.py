@@ -186,6 +186,33 @@ class TestH:
             H(0, 100, sd)
 
 
+def plain_H(l, N, sd):
+    """Reference for H: the amplitude computed afresh on every call."""
+    with mp.workprec(sd.precision + 32):
+        N = mp.mpf(N)
+        ez = mp.exp(sd.z0)
+        K = sd.rho * (-sd.z0) ** (l - mp.mpf(1) / 2) / mp.sqrt(1 - ez)
+        scale = mp.sqrt(1 / sd.alpha) / mp.pi
+        if l % 2 == 0:
+            scale = -scale
+        angle = N * sd.theta
+        return mp.mpf(scale * (K.imag * mp.cos(angle) - K.real * mp.sin(angle)))
+
+
+class TestAmplitudeCache:
+    @pytest.mark.parametrize("l", [1, 2, 3, 6])
+    def test_bit_identical_to_plain_formula(self, sd, l):
+        for N in (1, 37.25, 100, 147, mp.mpf(100) + sd.p):
+            assert H(l, N, sd)._mpf_ == plain_H(l, N, sd)._mpf_
+
+    def test_computed_once_per_l_and_saddle(self, sd):
+        H(4, 100, sd)
+        hits = saddle._amplitude.cache_info().hits
+        H(4, 101, sd)
+        H(4, 102, sd)
+        assert saddle._amplitude.cache_info().hits == hits + 2
+
+
 class TestAsymptotic:
     def test_main_term_composition(self, sd):
         with mp.workprec(PREC + 32):
