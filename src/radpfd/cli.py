@@ -25,7 +25,6 @@ from .contour import (
     constant_c,
     constant_c_euler_check,
     integral_approx_C,
-    oracle_spec,
 )
 from .exact import decimal_str, exact_coefficients, rational_str
 from .report import (
@@ -45,10 +44,11 @@ from .svg import line_chart
 
 __all__ = ["main", "write_figures", "run_checks"]
 
-# exact --N, and the --to of the exact sweeps in disproof and compare, above
-# this exit 2 before any work: exact_coefficients costs O(N^2) big-integer
-# steps whose operands grow with N, about N^4 in all
-_EXACT_MAX_N = 500
+# exact and integral --N, and the --to of the exact or integral sweeps in
+# disproof and compare, above this exit 2 before any work: exact_coefficients
+# costs O(N^2) big-integer steps whose operands grow with N, about N^4 in all,
+# and past N = 500 the arc's doubling ladder fails at 1024 nodes
+_MAX_N = 500
 # --prec-bits above this exits 2 before any work, whatever the subcommand: at
 # 1024 bits check took 4.4 s and figures 8.2 s, at 2048 bits 11 s and 18 s
 _MAX_PREC_BITS = 1024
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--N",
         type=int,
         required=True,
-        help=f"1..{_EXACT_MAX_N}; N = {_EXACT_MAX_N} takes a few seconds",
+        help=f"1..{_MAX_N}; N = {_MAX_N} takes a few seconds",
     )
     p.add_argument("--l", type=int, default=1)
     p.add_argument(
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("integral", help="arc-integral approximation")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=int, required=True, help=f"1..{_MAX_N}")
     p.add_argument("--l", type=int, default=1)
     p.set_defaults(func=cmd_integral)
 
@@ -133,14 +133,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _check_range(args, exact: bool):
-    """Reject an empty range, and an exact sweep past _EXACT_MAX_N."""
+def _check_range(args, modes):
+    """Reject an empty range, and an exact or integral sweep past _MAX_N."""
     if not 1 <= args.n_from <= args.n_to:
         raise ValueError(f"need 1 <= --from <= --to, got {args.n_from}..{args.n_to}")
-    if exact and args.n_to > _EXACT_MAX_N:
+    capped = [mode for mode in ("exact", "integral") if mode in modes]
+    if capped and args.n_to > _MAX_N:
         raise ValueError(
-            f"--to must be at most {_EXACT_MAX_N} for exact values, got {args.n_to}"
+            f"--to must be at most {_MAX_N} for {capped[0]} values, got {args.n_to}"
         )
+
+
+def _make_out_dir(path: Path):
+    """Create the --out directory before any work; a path that cannot be
+    one is a usage error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out: cannot create {exc.filename}: {exc.strerror}") from None
 
 
 def cmd_constants(args) -> int:
@@ -160,18 +170,19 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _check_coefficient(args):
-    """Reject (N, l) unless C(N, l) exists, before any work."""
+def _check_coefficient(args, capped: bool):
+    """Reject (N, l) unless C(N, l) exists, and N past _MAX_N where capped,
+    before any work."""
     if args.N < 1:
         raise ValueError("N must be a positive integer")
     if not 1 <= args.l <= args.N:
         raise ValueError(f"--l must be in 1..{args.N}, got {args.l}: no such coefficient")
+    if capped and args.N > _MAX_N:
+        raise ValueError(f"--N must be at most {_MAX_N}, got {args.N}")
 
 
 def cmd_exact(args) -> int:
-    _check_coefficient(args)
-    if args.N > _EXACT_MAX_N:
-        raise ValueError(f"--N must be at most {_EXACT_MAX_N}, got {args.N}")
+    _check_coefficient(args, capped=True)
     if args.float_exact:
         _check_precision(args.prec_bits)
     q = exact_coefficients(args.N).coeff(args.l)
@@ -183,7 +194,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    _check_coefficient(args)
+    _check_coefficient(args, capped=False)
     av = asymptotic_C(args.l, args.N, saddle_constants(args.prec_bits))
     print(f"asymptotic C({args.N}, {args.l}) = {mp.nstr(av.main_term, 17)}")
     print(f"H_{args.l}({args.N}) = {mp.nstr(av.H_value, 17)}")
@@ -191,7 +202,7 @@ def cmd_asymptotic(args) -> int:
 
 
 def cmd_integral(args) -> int:
-    _check_coefficient(args)
+    _check_coefficient(args, capped=True)
     value = integral_approx_C(args.l, args.N, args.prec_bits)
     print(f"integral C({args.N}, {args.l}) = {mp.nstr(value, 17)}")
     return 0
@@ -199,7 +210,7 @@ def cmd_integral(args) -> int:
 
 def cmd_compare(args) -> int:
     modes = frozenset(m.strip() for m in args.modes.split(",") if m.strip())
-    _check_range(args, "exact" in modes)
+    _check_range(args, modes)
     cfg = RunConfig(
         precision_bits=args.prec_bits,
         n_from=args.n_from,
@@ -207,6 +218,8 @@ def cmd_compare(args) -> int:
         l=args.l,
         modes=modes,
     )
+    if args.out is not None:
+        _make_out_dir(args.out)
     skipped = [N for N in range(cfg.n_from, cfg.n_to + 1) if cfg.l > N]
     if skipped:
         print(
@@ -217,7 +230,6 @@ def cmd_compare(args) -> int:
     rows = build_rows(cfg)
     text = emit_json(rows) if args.format == "json" else emit_csv(rows)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / f"compare.{args.format}"
         path.write_text(text)
         print(str(path))
@@ -259,6 +271,7 @@ def write_figures(configs, out_dir: Path, emit_svg: bool):
 
 def cmd_figures(args) -> int:
     out_dir = args.out if args.out is not None else Path(".")
+    _make_out_dir(out_dir)
     paths = write_figures(figure_configs(args.prec_bits), out_dir, args.format == "svg")
     for path in paths:
         print(str(path))
@@ -266,7 +279,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_disproof(args) -> int:
-    _check_range(args, exact=True)
+    _check_range(args, {"exact"})
     if not 1 <= args.l <= args.n_to:
         raise ValueError(f"--l must be in 1..{args.n_to}, got {args.l}")
     prec = args.prec_bits
@@ -291,38 +304,39 @@ def cmd_disproof(args) -> int:
 
 def run_checks(precision: int = 256):
     """Yield every numeric witness as a (name, ok, detail) triple, in a
-    fixed order; detail is "" where the check prints nothing more.  The
-    first six are yielded from inside mp.workprec, so take the whole list
-    before doing mpmath arithmetic of your own."""
+    fixed order; detail is "" where the check prints nothing more."""
     sd = saddle_constants(precision)
     tight = mp.mpf(2) ** -(precision - 16)
     loose = mp.mpf(2) ** -(precision // 2)
     tiny = mp.mpf("1e-20")
     with mp.workprec(precision + _GUARD):
         residual = abs(phi(sd.z0, precision))
-        yield "saddle residual small", residual < tight, f"|phi(z0)| = {mp.nstr(residual, 3)}"
         bp = sd.b**sd.p
-        yield (
-            "constants round to known digits",
-            abs(sd.b - mp.mpf("1.07")) < 0.005
-            and abs(sd.p - mp.mpf("31.96")) < 0.05
-            and abs(sd.a - mp.mpf("1.79")) < 0.005
-            and abs(sd.alpha - mp.mpf("0.028")) < 0.0005
-            and abs(bp - mp.mpf("8.81")) < 0.02,
-            f"b = {mp.nstr(sd.b, 6)}, p = {mp.nstr(sd.p, 6)}, b^p = {mp.nstr(bp, 6)}",
-        )
-        yield "rho on the unit circle", abs(abs(sd.rho) - 1) < tight, ""
-        count = argument_principle_count(precision=128)
-        yield "one root in the unit disk around the guess", count == 1, f"count = {count}"
+        count = argument_principle_count()
         h0 = H(1, mp.mpf(100), sd)
         dh = abs(H(1, mp.mpf(100) + sd.p, sd) - h0)
-        yield "H periodic with period p", dh < loose, f"|H(100+p) - H(100)| = {mp.nstr(dh, 3)}"
         steps = int(sd.p / mp.mpf("0.1"))
         signs = [h0 > 0] + [
             H(1, mp.mpf(100) + k * mp.mpf("0.1"), sd) > 0 for k in range(1, steps + 1)
         ]
         flips = sum(a != b for a, b in zip(signs, signs[1:]))
-        yield "H changes sign twice per period", flips == 2, f"flips = {flips}"
+        saddle_checks = [
+            ("saddle residual small", residual < tight, f"|phi(z0)| = {mp.nstr(residual, 3)}"),
+            (
+                "constants round to known digits",
+                abs(sd.b - mp.mpf("1.07")) < 0.005
+                and abs(sd.p - mp.mpf("31.96")) < 0.05
+                and abs(sd.a - mp.mpf("1.79")) < 0.005
+                and abs(sd.alpha - mp.mpf("0.028")) < 0.0005
+                and abs(bp - mp.mpf("8.81")) < 0.02,
+                f"b = {mp.nstr(sd.b, 6)}, p = {mp.nstr(sd.p, 6)}, b^p = {mp.nstr(bp, 6)}",
+            ),
+            ("rho on the unit circle", abs(abs(sd.rho) - 1) < tight, ""),
+            ("one root in the unit disk around the guess", count == 1, f"count = {count}"),
+            ("H periodic with period p", dh < loose, f"|H(100+p) - H(100)| = {mp.nstr(dh, 3)}"),
+            ("H changes sign twice per period", flips == 2, f"flips = {flips}"),
+        ]
+    yield from saddle_checks
 
     spec_small = QuadratureSpec(nodes=64, precision=128, radius=0.5)
     delta = abs(cauchy_oracle(1, 1, spec_small).value + 1)
@@ -330,13 +344,13 @@ def run_checks(precision: int = 256):
     delta = abs(cauchy_oracle(2, 2, spec_small).value - mp.mpf("0.5"))
     yield "oracle hand value C(2,2) = 1/2", delta < tiny, ""
     exact20 = exact_coefficients(20).coeff(1)
-    o20 = cauchy_oracle(1, 20, oracle_spec(20, precision=512))
+    o20 = cauchy_oracle(1, 20, QuadratureSpec(nodes=224, precision=512, radius=0.15))
     with mp.workprec(512):
         diff = abs(o20.value - _to_mpf(exact20, 512))
     yield "oracle matches exact at N = 20", diff < tiny, f"diff = {mp.nstr(diff, 3)}"
 
     path = [5j + (complex(sd.z0) - 5j) * t / 199 for t in range(200)]
-    ok = check_monotone_exponent(path, precision=128)
+    ok = check_monotone_exponent(path)
     yield "growth exponent monotone toward the saddle", ok, ""
     grid = [(u, x) for u in (0.01, 0.05, 0.1) for x in (0.0, -1e-3, -1e-2)]
     yield "trig lower bound holds on sample grid", check_lower_bound_inequality(grid), ""

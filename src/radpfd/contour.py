@@ -48,7 +48,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath as mp
 from mpmath.libmp import (
@@ -115,15 +114,13 @@ class OracleValue:
     node_doubling_delta: mp.mpf
 
 
-def oracle_spec(N: int, precision: Optional[int] = None) -> QuadratureSpec:
+def oracle_spec(N: int) -> QuadratureSpec:
     """Default oracle contour for a given N: 8N + 64 nodes on radius 3/N,
-    inside the pole-free annulus, with precision growing 1.5 bits per unit
-    N to absorb the cancellation between huge node values and an O(1) result."""
+    inside the pole-free annulus, with precision 64 + ceil(1.5 N) bits to
+    absorb the cancellation between huge node values and an O(1) result."""
     if N < 1:
         raise ValueError("N must be positive")
-    if precision is None:
-        precision = 64 + math.ceil(1.5 * N)
-    return QuadratureSpec(nodes=8 * N + 64, precision=max(64, precision), radius=3.0 / N)
+    return QuadratureSpec(nodes=8 * N + 64, precision=64 + math.ceil(1.5 * N), radius=3.0 / N)
 
 
 def _pairwise_sum(values, add=operator.add):
@@ -340,12 +337,13 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
         return OracleValue(value=fine, node_doubling_delta=mp.mpf(abs(fine - coarse)))
 
 
-def check_monotone_exponent(path, precision: int = 128) -> bool:
+def check_monotone_exponent(path) -> bool:
     """Whether Re((Li2(e^z) - pi^2/6)/z) is nondecreasing along the path.
 
     The quantity is the growth exponent of the integrand along a contour
     leg; the error analysis needs it to increase toward the saddle.
     """
+    precision = 128
     with mp.workprec(precision + _GUARD):
         zs = [mp.mpc(z) for z in path]
         for z in zs:

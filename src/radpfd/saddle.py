@@ -55,8 +55,6 @@ class SaddleData:
 
 @dataclass(frozen=True)
 class AsymptoticValue:
-    N: int
-    l: int
     main_term: mp.mpf
     H_value: mp.mpf
 
@@ -152,19 +150,20 @@ def asymptotic_C(l: int, N: int, sd: SaddleData) -> AsymptoticValue:
     with mp.workprec(sd.precision + _GUARD):
         h = H(l, N, sd)
         main = sd.b ** N * mp.mpf(N) ** (-l - 1) * h
-        return AsymptoticValue(N=int(N), l=int(l), main_term=mp.mpf(main), H_value=h)
+        return AsymptoticValue(main_term=mp.mpf(main), H_value=h)
 
 
-def argument_principle_count(precision: int = 128) -> int:
+def argument_principle_count() -> int:
     """Number of roots of phi in the unit disk around _INITIAL.
 
-    Trapezoid rule with 128 nodes on (1/2 pi i) times the integral of
-    phi'/phi; the integrand is analytic and periodic along the circle so
-    convergence is spectral.  The node terms come from specfun._split_map
+    Trapezoid rule with 128 nodes, at 128 bits, on (1/2 pi i) times the
+    integral of phi'/phi; the integrand is analytic and periodic along the
+    circle so convergence is spectral.  The node terms come from specfun._split_map
     and are summed here in node order.  The result is rounded to the
     nearest integer.
     """
     nodes = 128
+    precision = 128
     with mp.workprec(precision + _GUARD):
         center = mp.mpc(_INITIAL)
 

@@ -1,7 +1,8 @@
 """High-precision complex special functions on explicit precision budgets.
 
 Everything the analytic side of the package needs: the dilogarithm on the
-closed unit disk, the Hurwitz zeta function for Re s > 1, the negative-order
+closed unit disk, the Hurwitz zeta function for Re s > 1 (mpmath's zeta(s, q)
+with the package's domain checks and error bound), the negative-order
 polylogarithm Li_{1-s}(e^z) through its Hurwitz-zeta representation, and the
 saddle function
 
@@ -10,7 +11,7 @@ saddle function
 together with its derivative.  Precision is always an explicit argument in
 mantissa bits, never ambient mpmath state; internally each routine works at
 precision + 32 guard bits.  Functions returning an EvalResult report an
-upper bound on their truncation error alongside the value.
+upper bound on their error alongside the value.
 
 The private helper _split_map, which the node tables of contour and saddle
 share, forks one child on hosts with 2 or more usable CPUs.
@@ -101,12 +102,17 @@ def _split_map(fn, items):
 @dataclass(frozen=True)
 class EvalResult:
     value: mp.mpc
-    error_estimate: mp.mpf  # upper bound on the truncation error
+    error_estimate: mp.mpf  # upper bound on the error
 
 
 def _check_precision(precision):
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
+
+
+def _relative_bound(value, precision):
+    """Error bound of a value computed at precision + _GUARD bits."""
+    return mp.mpf((abs(value) + mp.mpf(2) ** -precision) * mp.mpf(2) ** -(precision - 8))
 
 
 def _pi2_over_6():
@@ -124,16 +130,14 @@ def _series_li2(u, precision):
     """Direct series sum_{k>=1} u^k / k^2 at the ambient working precision.
 
     Stops once a term drops below 2^-(precision+8) of the accumulated
-    modulus; callers guarantee |u| is bounded away from 1 so the tail is
-    geometric.  The loop runs on raw mpc tuples with the rounding of
+    modulus; callers guarantee u != 0 and |u| bounded away from 1, so the
+    tail is geometric.  The loop runs on raw mpc tuples with the rounding of
     mpc arithmetic.  The exact stopping test (two moduli) runs on every
     term that could stop the loop; the others are passed on exponents,
     which prove |term| >= 2^(E_term - 1) > 4 * cutoff * 2^(E_acc + 1)
     > 4 * cutoff * |acc|, a margin no rounding of the exact test erases.
     So the terms summed and the sum are those of the plain mpc loop.
     """
-    if u == 0:
-        return mp.mpc(0)
     prec, rnd = mp.mp._prec_rounding
     cutoff = (mp.mpf(2) ** (-(precision + 8)))._mpf_
     gap = 4 - (precision + 8)  # skip the exact test while E_term - E_acc >= gap
@@ -188,65 +192,25 @@ def dilog(w, precision: int = 256) -> EvalResult:
         if abs(w) > 1 + mp.mpf(2) ** (-(precision - 8)):
             raise ValueError("outside supported domain: |w| > 1")
         value = _dilog_value(w, precision)
-        err = (abs(value) + mp.mpf(2) ** (-precision)) * mp.mpf(2) ** (
-            -(precision - 8)
-        )
-        return EvalResult(value=value, error_estimate=mp.mpf(err))
+        return EvalResult(value=value, error_estimate=_relative_bound(value, precision))
 
 
 def hurwitz_zeta(s, q, precision: int = 256) -> EvalResult:
-    """sum_{n>=0} (q + n)^{-s} for Re s > 1 by Euler-Maclaurin summation.
+    """sum_{n>=0} (q + n)^{-s} for Re s > 1, from mpmath's zeta(s, q).
 
     The shift q may sit on the imaginary axis (Re q >= 0, q != 0), which
     is where the polylogarithm representation puts it for real z.
     """
     _check_precision(precision)
-    work = precision + _GUARD
-    with mp.workprec(work):
+    with mp.workprec(precision + _GUARD):
         s = mp.mpc(s)
         q = mp.mpc(q)
         if s.real <= 1:
             raise ValueError("outside convergence region: Re s <= 1")
         if q == 0 or q.real < 0:
             raise ValueError("shift must satisfy Re q >= 0, q != 0")
-        target = mp.mpf(2) ** (-(precision + 8))
-        M = max(16, int(0.2 * work) + 8, int(abs(q.imag)) + 8)
-        for _ in range(8):
-            value, err, ok = _euler_maclaurin(s, q, M, target)
-            if ok:
-                return EvalResult(value=value, error_estimate=err)
-            M *= 2
-    raise RuntimeError("Euler-Maclaurin tail failed to converge")
-
-
-def _euler_maclaurin(s, q, M, target):
-    # Direct block: sum_{n<M} (q+n)^{-s}
-    head = mp.mpc(0)
-    for n in range(M):
-        head += (q + n) ** (-s)
-    qM = q + M
-    tail = qM ** (1 - s) / (s - 1) + qM ** (-s) / 2
-    # Correction terms B_{2j}/(2j)! * (s)_{2j-1} * (q+M)^{-s-2j+1}
-    poch = s  # (s)_1
-    power = qM ** (-s - 1)
-    inv2 = qM ** (-2)
-    acc = head + tail
-    prev = mp.inf
-    for j in range(1, 8 * M):
-        term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * poch * power
-        acc += term
-        t = abs(term)
-        if t < target * abs(acc):
-            # Remainder is bounded by a small multiple of the first
-            # omitted term for Re(q+M) > 0.
-            err = 4 * t + abs(acc) * target
-            return acc, mp.mpf(err), True
-        if t > prev:
-            return acc, mp.mpf(t), False
-        prev = t
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        power *= inv2
-    return acc, mp.mpf(prev), False
+        value = mp.zeta(s, q)
+        return EvalResult(value=value, error_estimate=_relative_bound(value, precision))
 
 
 _I_POWERS = (1, 1j, -1, -1j)

@@ -27,8 +27,7 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float):
-    if hi <= lo:
-        hi = lo + 1
+    # lo < hi: line_chart widens equal bounds before it asks for ticks
     raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: output shapes, files, exit codes."""
 
+import errno
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import mpmath as mp
@@ -188,6 +190,29 @@ class TestAsymptoticAndIntegral:
         assert captured.out == ""
         assert captured.err == _NO_COEFFICIENT[tuple(argv)]
 
+    @pytest.mark.parametrize("l", ["1", "100"])
+    def test_integral_above_the_cap_exits_2_before_any_node(self, capsys, monkeypatch, l):
+        def no_nodes(*args):
+            raise AssertionError("arc nodes computed for an N above the cap")
+
+        monkeypatch.setattr(contour, "_arc_nodes", no_nodes)
+        assert cli.main(["integral", "--N", "501", "--l", l]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --N must be at most 500, got 501\n"
+
+    def test_integral_at_the_cap_is_computed(self, capsys, monkeypatch):
+        calls = []
+
+        def stub(l, N, precision):
+            calls.append((l, N))
+            return mp.mpf("0.5")
+
+        monkeypatch.setattr(cli, "integral_approx_C", stub)
+        assert cli.main(["integral", "--N", "500"]) == 0
+        assert calls == [(1, 500)]
+        assert capsys.readouterr().out == "integral C(500, 1) = 0.5\n"
+
     def test_integral_exits_1_when_the_ladder_does_not_converge(self, capsys, monkeypatch):
         # 128 and 256 nodes agree at N = 175, but 64 and 128 do not
         monkeypatch.setattr(contour, "_MAX_NODES", 128)
@@ -233,6 +258,21 @@ class TestCompare:
         path = tmp_path / "compare.csv"
         assert out == str(path)
         assert parse_csv(path.read_text())[2].N == 3
+
+    def test_out_under_a_file_exits_2_before_any_row(self, capsys, monkeypatch, tmp_path):
+        def no_rows(cfg):
+            raise AssertionError("rows built before --out was checked")
+
+        monkeypatch.setattr(cli, "build_rows", no_rows)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "sub"
+        assert cli.main(["compare", "--from", "1", "--to", "3", "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --out: cannot create {out_dir}: {os.strerror(errno.ENOTDIR)}\n"
+        )
 
     def test_notes_skipped_rows_on_stderr(self, capsys):
         assert cli.main(["compare", "--from", "1", "--to", "5", "--l", "3"]) == 0
@@ -291,6 +331,20 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == "error: --to must be at most 500 for exact values, got 501\n"
 
+    @pytest.mark.parametrize("modes", ["integral", "asymptotic,integral"])
+    def test_integral_sweep_past_the_cap_exits_2_before_any_node(
+        self, capsys, monkeypatch, modes
+    ):
+        def no_nodes(*args):
+            raise AssertionError("arc nodes computed for a range above the cap")
+
+        monkeypatch.setattr(contour, "_arc_nodes", no_nodes)
+        monkeypatch.setattr(report, "saddle_constants", _unsolved)
+        assert cli.main(["compare", "--from", "1", "--to", "501", "--modes", modes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --to must be at most 500 for integral values, got 501\n"
+
     def test_asymptotic_mode_past_the_cap_is_computed(self, capsys):
         argv = ["compare", "--from", "500", "--to", "501", "--modes", "asymptotic"]
         assert cli.main(argv) == 0
@@ -345,6 +399,20 @@ class TestFigures:
         assert cli.main(["figures", "--out", str(tmp_path)]) == 0
         assert calls == [(3, 8)]
         assert report._exact_window.cache_info().currsize == 0
+
+    def test_out_at_a_file_exits_2_before_any_dataset(self, capsys, monkeypatch, tmp_path):
+        def no_figures(*args):
+            raise AssertionError("datasets written before --out was checked")
+
+        monkeypatch.setattr(cli, "write_figures", no_figures)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["figures", "--out", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --out: cannot create {blocker}: {os.strerror(errno.EEXIST)}\n"
+        )
 
     def test_bad_format_is_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -489,6 +557,15 @@ class TestCheck:
         # recorded before the arc found its own node count
         digest = "7056e017c8d2d183373d12ff3761d120b41395b6a9d60fb32677e51ad79e3559"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_yields_at_the_callers_precision(self):
+        # a lazy consumer does its own mpmath arithmetic between items
+        prec = mp.mp.prec
+        names = []
+        for name, _, _ in cli.run_checks():
+            assert mp.mp.prec == prec, name
+            names.append(name)
+        assert len(names) == 18
 
 
 _EVERY_COMMAND = [

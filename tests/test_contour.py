@@ -1,5 +1,6 @@
 """Arc integral, Cauchy oracle, and the proof-region numeric witnesses."""
 
+import dataclasses
 import hashlib
 import os
 
@@ -55,7 +56,7 @@ class TestCauchyOracle:
         assert abs(got.value - mp.mpf("0.5")) < mp.mpf("1e-20")
 
     def test_matches_exact_at_n20_high_precision(self, small_vectors):
-        got = cauchy_oracle(1, 20, oracle_spec(20, precision=512))
+        got = cauchy_oracle(1, 20, QuadratureSpec(nodes=224, precision=512, radius=0.15))
         exact = _as_mpf(small_vectors[20].coeff(1), 512)
         with mp.workprec(512):
             assert abs(got.value - exact) < mp.mpf("1e-20")
@@ -97,7 +98,8 @@ class TestOracleCache:
         for before in (
             (1, 12, spec),  # another l at the same (N, spec)
             (2, 10, oracle_spec(10)),  # another N
-            (2, 12, oracle_spec(12, precision=spec.precision + 64)),  # another precision
+            # another precision
+            (2, 12, dataclasses.replace(spec, precision=spec.precision + 64)),
         ):
             contour._oracle_nodes.cache_clear()
             cauchy_oracle(*before)
@@ -296,7 +298,9 @@ class TestOracleProducts:
     @pytest.mark.parametrize("prec", [None, 512])
     @pytest.mark.parametrize("N", [1, 2, 12, 20])
     def test_bit_identical_to_plain_mpc_loop(self, N, prec):
-        spec = oracle_spec(N, precision=prec)
+        spec = oracle_spec(N)
+        if prec is not None:
+            spec = dataclasses.replace(spec, precision=prec)
         contour._oracle_nodes.cache_clear()
         assert _digest(contour._oracle_nodes(N, spec)) == _digest(plain_oracle_nodes(N, spec))
 
@@ -310,9 +314,9 @@ class TestSplitMap:
         contour._oracle_nodes.cache_clear()
         arcs = ((64, False), (128, False), (64, True))
         tables = [contour._arc_nodes(n, 256, full) for n, full in arcs]
-        for prec in (None, 512):
+        for spec in (oracle_spec(20), dataclasses.replace(oracle_spec(20), precision=512)):
             contour._oracle_nodes.cache_clear()
-            tables.append(contour._oracle_nodes(20, oracle_spec(20, precision=prec)))
+            tables.append(contour._oracle_nodes(20, spec))
         contour._arc_nodes.cache_clear()
         contour._oracle_nodes.cache_clear()
         return [_digest(t) for t in tables]
@@ -390,18 +394,18 @@ class TestNodeLadder:
 class TestMonotoneExponent:
     def test_leg_toward_the_saddle_is_monotone(self, sd):
         path = [5j + (complex(sd.z0) - 5j) * t / 199 for t in range(200)]
-        assert check_monotone_exponent(path, precision=128) is True
+        assert check_monotone_exponent(path) is True
 
     def test_constant_path_is_vacuously_monotone(self):
-        assert check_monotone_exponent([-1 + 2j] * 5, precision=96) is True
+        assert check_monotone_exponent([-1 + 2j] * 5) is True
 
     def test_reversed_path_fails(self, sd):
         path = [5j + (complex(sd.z0) - 5j) * t / 49 for t in range(50)]
-        assert check_monotone_exponent(path[::-1], precision=96) is False
+        assert check_monotone_exponent(path[::-1]) is False
 
     def test_rejects_right_half_plane(self):
         with pytest.raises(ValueError):
-            check_monotone_exponent([0.1 + 1j], precision=96)
+            check_monotone_exponent([0.1 + 1j])
 
 
 class TestLowerBound:

@@ -59,7 +59,7 @@ class TestSolve:
             assert abs(rate_deriv) < mp.mpf("1e-30")
 
     def test_one_root_in_the_disk(self):
-        assert argument_principle_count(precision=128) == 1
+        assert argument_principle_count() == 1
 
     def test_pinned_root_and_residual(self, sd):
         assert mp.nstr(sd.z0, 90) == Z0_90
@@ -68,8 +68,6 @@ class TestSolve:
     def test_precision_floor_rejected(self):
         with pytest.raises(ValueError, match="at least 64 bits"):
             saddle_constants(32)
-        with pytest.raises(ValueError, match="at least 64 bits"):
-            argument_principle_count(precision=32)
 
 
 class TestOneDilogPerPoint:
@@ -97,7 +95,7 @@ class TestOneDilogPerPoint:
         assert len(set(dilog_args)) == len(dilog_args)
 
     def test_argument_principle(self, dilog_args):
-        argument_principle_count(precision=128)
+        argument_principle_count()
         assert len(dilog_args) == len(set(dilog_args)) == 128
 
 

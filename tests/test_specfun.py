@@ -20,6 +20,10 @@ PREC = 256
 # z away from the singular points 0 and +-2 pi i.
 GRID_Z = [mp.mpc(-1), mp.mpc(-2), mp.mpc(-1, 2), mp.mpc(-1, -2), mp.mpc(-0.5, 5)]
 
+# Near the corners of the supported strip: far left, near |Im z| = 8, and
+# close to the singular points 2 pi i and 0.
+CORNER_Z = [mp.mpc(-40, 7.9), mp.mpc(-3, -7.9), mp.mpc(-0.1, 6.1), mp.mpc(-0.07)]
+
 
 def disk_points():
     return st.tuples(
@@ -138,6 +142,19 @@ class TestHurwitzZeta:
                     got = hurwitz_zeta(s, q, PREC)
                     assert abs(got.value - mp.zeta(s, q)) <= got.error_estimate
 
+    @pytest.mark.parametrize("prec", [64, 512])
+    def test_bound_holds_at_the_strip_corners(self, prec):
+        # the two shifts polylog_jonquiere passes for each corner z
+        for z in CORNER_Z:
+            with mp.workprec(prec + 32):
+                shift = mp.log(-mp.exp(z)) / (2j * mp.pi)
+                shifts = (mp.mpf(1) / 2 + shift, mp.mpf(1) / 2 - shift)
+            for s in (2, 3, 6):
+                for q in shifts:
+                    got = hurwitz_zeta(s, q, prec)
+                    with mp.workprec(prec + 96):
+                        assert abs(got.value - mp.zeta(s, q)) <= got.error_estimate
+
     def test_real_s_on_real_shift(self):
         with mp.workprec(PREC + 64):
             got = hurwitz_zeta(mp.mpf("2.5"), mp.mpf("0.75"), PREC).value
@@ -166,6 +183,15 @@ class TestJonquiere:
                     got = polylog_jonquiere(s, z, PREC)
                     ref = mp.polylog(1 - s, mp.exp(z))
                     assert abs(got.value - ref) < mp.mpf("1e-25")
+                    assert abs(got.value - ref) <= got.error_estimate
+
+    @pytest.mark.parametrize("prec", [64, 128, 512])
+    def test_bound_holds_at_the_strip_corners(self, prec):
+        for s in (2, 3, 6):
+            for z in CORNER_Z:
+                got = polylog_jonquiere(s, z, prec)
+                with mp.workprec(prec + 96):
+                    ref = mp.polylog(1 - s, mp.exp(z))
                     assert abs(got.value - ref) <= got.error_estimate
 
     def test_geometric_derivative_closed_forms(self):
