@@ -10,7 +10,10 @@ exploiting conjugate symmetry to halve the arc, and doubles the node
 count until two successive counts agree.  The Cauchy oracle
 recovers the exact coefficient as (1/2 pi i) times the loop integral of
 x^{l-1} prod_{j<=N} (1 - (x+1)^j)^{-1} around a small circle inside the
-pole-free annulus (trapezoid rule, spectrally accurate).  The remaining
+pole-free annulus (trapezoid rule, spectrally accurate).  Its default
+node count is the least that keeps the rule free of aliasing from the
+pole at 0 and pushes the Taylor tail below its working precision; a
+count that aliases is rejected.  The remaining
 operations are numeric witnesses for facts used in the error analysis:
 monotonicity of Re((Li2(e^z) - pi^2/6)/z) along a contour leg, a
 trigonometric lower bound on a rectangle, and the Euler-summation
@@ -114,13 +117,36 @@ class OracleValue:
     node_doubling_delta: mp.mpf
 
 
+def _oracle_precision(N: int) -> int:
+    """Least oracle precision at N: 64 + ceil(1.5 N) bits absorb the
+    cancellation between huge node values and an O(1) result."""
+    return 64 + math.ceil(1.5 * N)
+
+
 def oracle_spec(N: int) -> QuadratureSpec:
-    """Default oracle contour for a given N: 8N + 64 nodes on radius 3/N,
-    inside the pole-free annulus, with precision 64 + ceil(1.5 N) bits to
-    absorb the cancellation between huge node values and an O(1) result."""
+    """Default oracle contour for a given N: radius r = 3/N, inside the
+    pole-free annulus, at the least precision _oracle_precision(N), with
+    the least node count M that two bounds allow.
+
+    The rule averages x f(x) = x^l / prod_{j<=N} (1 - (1+x)^j) over 2M
+    points and returns c_0 plus the aliased Laurent terms c_{±2M} r^{±2M}
+    (Trefethen and Weideman, SIAM Rev. 56 (2014)).  x f has a pole of
+    order N - l at 0, so the coarse rule on every other node (whose
+    difference from the fine rule is the doubling delta) is free of
+    aliasing from it when M > N - l, which M >= N + 32 meets for every
+    l.  The Taylor tail decays like (r/R)^{2M}, where R = 2 sin(pi/N) is
+    the distance to the nearest other pole; M >= (precision + _GUARD) /
+    (2 log2(R/r)) pushes it below the working precision.  At N = 1 there
+    is no other pole and M = N + 32; from N = 45 on, N + 32 is the larger.
+    """
     if N < 1:
         raise ValueError("N must be positive")
-    return QuadratureSpec(nodes=8 * N + 64, precision=64 + math.ceil(1.5 * N), radius=3.0 / N)
+    precision, radius = _oracle_precision(N), 3.0 / N
+    nodes = N + 32
+    if N >= 2:
+        decay_bits = 2 * math.log2(2 * math.sin(math.pi / N) / radius)
+        nodes = max(nodes, math.ceil((precision + _GUARD) / decay_bits))
+    return QuadratureSpec(nodes=nodes, precision=precision, radius=radius)
 
 
 def _pairwise_sum(values, add=operator.add):
@@ -326,9 +352,11 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
         raise ValueError("l and N must be positive integers")
     if N >= 2 and not spec.radius < 2 * math.sin(math.pi / N):
         raise ValueError("radius reaches the nearest nonzero pole of the product")
-    if spec.precision < 64 + math.ceil(1.5 * N):
+    if spec.precision < _oracle_precision(N):
         raise ValueError("precision too low for the oscillatory cancellation")
     M = spec.nodes
+    if M <= N - l:
+        raise ValueError("too few nodes: the coarse rule aliases the pole of order N - l at 0")
     nodes = _oracle_nodes(N, spec)
     with mp.workprec(spec.precision + _GUARD):
         vals = [x**l / prod for x, prod in nodes]  # f(x) * x with f = x^{l-1}/prod

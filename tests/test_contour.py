@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 
 import mpmath as mp
@@ -20,6 +21,7 @@ from radpfd.contour import (
     integral_approx_C,
     oracle_spec,
 )
+from radpfd.exact import exact_coefficients
 
 PREC = 256
 
@@ -39,9 +41,13 @@ class TestQuadratureSpec:
             QuadratureSpec(nodes=16, precision=128, radius=0.0)
 
     def test_helper_constructors(self):
-        s = oracle_spec(20)
-        assert s.radius == pytest.approx(0.15)
-        assert s.precision >= 64 + 30
+        # the tail bound sets M at the perfbench grid, N + 32 from N = 45 on
+        assert [oracle_spec(N).nodes for N in (1, 12, 18, 24, 200)] == [33, 55, 59, 63, 232]
+        for N in range(1, 501):
+            s = oracle_spec(N)
+            assert s.nodes > N
+            assert s.precision == 64 + math.ceil(1.5 * N)
+            assert s.radius == 3.0 / N
 
 
 class TestCauchyOracle:
@@ -70,6 +76,30 @@ class TestCauchyOracle:
         spec = QuadratureSpec(nodes=256, precision=64, radius=0.1)
         with pytest.raises(ValueError, match="precision too low"):
             cauchy_oracle(1, 30, spec)
+
+    def test_aliasing_precondition(self):
+        # 8 and 16 nodes: the coarse rule aliases the order-29 pole at 0
+        for nodes in (8, 16):
+            spec = QuadratureSpec(nodes=nodes, precision=109, radius=0.1)
+            with pytest.raises(ValueError, match="aliases"):
+                cauchy_oracle(1, 30, spec)
+
+    def test_doubling_delta_bounds_the_error_on_c2_pairs(self, small_vectors):
+        for N, vec in small_vectors.items():
+            for l in sorted({1, min(N, 2), min(N, 4)}):  # the pairs of c2
+                got = cauchy_oracle(l, N, oracle_spec(N))
+                with mp.workprec(256):
+                    diff = abs(got.value - _as_mpf(vec.coeff(l)))
+                assert got.node_doubling_delta >= diff, (N, l)
+
+    def test_matches_exact_beyond_150(self):
+        exact = exact_coefficients(200)
+        spec = oracle_spec(200)
+        for l in (1, 2):
+            got = cauchy_oracle(l, 200, spec)
+            with mp.workprec(spec.precision + 64):
+                diff = abs(got.value - _as_mpf(exact.coeff(l), spec.precision + 64))
+            assert diff < mp.mpf("1e-20"), (l, diff)
 
     def test_rule_precondition(self):
         # the arc integral's radius-5 circle encloses poles of the product
