@@ -26,11 +26,10 @@ from .contour import (
     constant_c_euler_check,
     integral_approx_C,
 )
-from .exact import decimal_str, exact_coefficients, rational_str
+from .exact import _to_mpf, decimal_str, exact_coefficients, rational_str
 from .report import (
     RunConfig,
     _exact_window,
-    _to_mpf,
     analyze_divergence,
     build_rows,
     emit_csv,
@@ -251,7 +250,7 @@ def write_figures(configs, out_dir: Path, emit_svg: bool):
         if emit_svg:
             other = "asymptotic" if "asymptotic" in cfg.modes else "integral"
             exact_pts = [
-                (r.N, mp.mpf(r.exact_decimal)) for r in rows if r.exact_decimal
+                (r.N, mp.mpf(decimal_str(r.exact))) for r in rows if r.exact is not None
             ]
             other_pts = [
                 (r.N, getattr(r, other)) for r in rows if getattr(r, other) is not None
@@ -270,9 +269,10 @@ def write_figures(configs, out_dir: Path, emit_svg: bool):
 
 
 def cmd_figures(args) -> int:
+    configs = figure_configs(args.prec_bits)  # rejects the precision before any mkdir
     out_dir = args.out if args.out is not None else Path(".")
     _make_out_dir(out_dir)
-    paths = write_figures(figure_configs(args.prec_bits), out_dir, args.format == "svg")
+    paths = write_figures(configs, out_dir, args.format == "svg")
     for path in paths:
         print(str(path))
     return 0

@@ -55,7 +55,6 @@ __all__ = [
     "exact_coefficients",
     "coefficient_range",
     "rational_str",
-    "parse_rational",
     "decimal_str",
 ]
 
@@ -176,22 +175,12 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    """Inverse of rational_str; any other text, "2/4" or "1/0" included,
-    raises ValueError."""
-    num, _, den = s.partition("/")
-    try:
-        q = Fraction(int(num), int(den))
-        if rational_str(q) == s:
-            return q
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"not a canonical rational string: {s!r}")
+def _to_mpf(q: Fraction, precision: int) -> mp.mpf:
+    with mp.workprec(precision):
+        return mp.mpf(q.numerator) / q.denominator
 
 
 def decimal_str(q: Fraction) -> str:
     """Decimal rendering of a rational to 17 significant digits."""
-    q = Fraction(q)
-    with mp.workprec(80):  # 17 digits take 57 bits; the rest are guard bits
-        v = mp.mpf(q.numerator) / q.denominator
-        return mp.nstr(v, 17)
+    # 17 digits take 57 bits; the rest are guard bits
+    return mp.nstr(_to_mpf(q, 80), 17)

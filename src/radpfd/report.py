@@ -4,7 +4,7 @@ Builds per-N rows holding the exact coefficient next to its asymptotic
 and integral approximations, finds the peaks of |C(N, l)| that witness
 the oscillating exponential growth, and serializes everything as CSV or
 JSON deterministically: the same configuration always produces the same
-bytes, and parsing an emitted CSV and re-emitting it is the identity.
+bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import mpmath as mp
 
 from .contour import _integrals
-from .exact import coefficient_range, decimal_str, parse_rational, rational_str
+from .exact import _to_mpf, coefficient_range, decimal_str, rational_str
 from .saddle import asymptotic_C, saddle_constants
 from .specfun import _GUARD, _check_precision
 
@@ -29,7 +29,6 @@ __all__ = [
     "CSV_HEADER",
     "build_rows",
     "emit_csv",
-    "parse_csv",
     "emit_json",
     "find_peaks",
     "analyze_divergence",
@@ -47,7 +46,6 @@ class ComparisonRow:
     N: int
     l: int
     exact: Optional[Fraction]
-    exact_decimal: str  # empty when the exact mode was skipped
     asymptotic: Optional[mp.mpf]
     integral: Optional[mp.mpf]
     abs_err_asym: Optional[mp.mpf]
@@ -88,11 +86,6 @@ class DisproofReport:
     verdict: str
 
 
-def _to_mpf(q: Fraction, precision: int) -> mp.mpf:
-    with mp.workprec(precision):
-        return mp.mpf(q.numerator) / q.denominator
-
-
 @functools.lru_cache(maxsize=1)
 def _exact_window(n_from: int, n_to: int):
     """{N: (C(N, 1), ..., C(N, N))} over n_from..n_to from one incremental
@@ -124,14 +117,12 @@ def build_rows(cfg: RunConfig):
     rows = []
     for N in range(cfg.n_from, cfg.n_to + 1):
         if cfg.l > N:
-            rows.append(ComparisonRow(N, cfg.l, None, "", None, None, None, None))
+            rows.append(ComparisonRow(N, cfg.l, None, None, None, None, None))
             continue
         exact_q = None
-        exact_dec = ""
         exact_val = None
         if want_exact:
             exact_q = exact_values[N][cfg.l - 1]
-            exact_dec = decimal_str(exact_q)
             exact_val = _to_mpf(exact_q, prec + _GUARD)
         asym = None
         abs_err = None
@@ -149,7 +140,6 @@ def build_rows(cfg: RunConfig):
                 N=N,
                 l=cfg.l,
                 exact=exact_q,
-                exact_decimal=exact_dec,
                 asymptotic=asym,
                 integral=integ,
                 abs_err_asym=abs_err,
@@ -169,7 +159,7 @@ def _cells(r) -> list:
     """The six CSV/JSON cells of a row after N and l."""
     return [
         rational_str(r.exact) if r.exact is not None else "",
-        r.exact_decimal,
+        decimal_str(r.exact) if r.exact is not None else "",
         _cell(r.asymptotic),
         _cell(r.integral),
         _cell(r.abs_err_asym),
@@ -182,38 +172,6 @@ def emit_csv(rows) -> str:
     for r in rows:
         lines.append(",".join([str(r.N), str(r.l)] + _cells(r)))
     return "\n".join(lines) + "\n"
-
-
-def _parse_cell(s: str) -> Optional[mp.mpf]:
-    if s == "":
-        return None
-    with mp.workprec(80):
-        return mp.mpf(s)
-
-
-def parse_csv(text: str):
-    """Inverse of emit_csv; emit(parse(emit(rows))) is byte-identical."""
-    lines = text.strip("\n").split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized CSV header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"malformed row: {line!r}")
-        rows.append(
-            ComparisonRow(
-                N=int(parts[0]),
-                l=int(parts[1]),
-                exact=parse_rational(parts[2]) if parts[2] else None,
-                exact_decimal=parts[3],
-                asymptotic=_parse_cell(parts[4]),
-                integral=_parse_cell(parts[5]),
-                abs_err_asym=_parse_cell(parts[6]),
-                rel_err_asym=_parse_cell(parts[7]),
-            )
-        )
-    return rows
 
 
 def emit_json(rows) -> str:

@@ -33,3 +33,24 @@ def test_readme_import_block_runs():
     exec(block, namespace)
     names = re.findall(r"^\s+(\w+),", block, re.M)
     assert names and all(namespace[name] is getattr(radpfd, name) for name in names)
+
+
+# public names that no code in src/radpfd calls, kept on purpose
+UNUSED_IN_SRC = {
+    "polylog_jonquiere": "acceptance test c8 checks it (ROADMAP item 7)",
+    "oracle_spec": "perfbench sizes its Cauchy-oracle grid with it",
+}
+
+
+def test_every_public_name_is_used_in_the_package():
+    """Each name of radpfd.__all__ is mentioned in some file of the
+    package outside its own def/class line and its __all__ entry."""
+    src = Path(radpfd.__file__).resolve().parent
+    lines = [line for path in sorted(src.glob("*.py")) for line in path.read_text().splitlines()]
+    unused = set()
+    for name in set(radpfd.__all__) - {"__version__"}:
+        own = re.compile(rf'\s*((def|class)\s+{name}\b|"{name}",$)')
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.add(name)
+    assert unused - UNUSED_IN_SRC.keys() == set()
