@@ -45,8 +45,9 @@ __all__ = ["main", "write_figures", "run_checks"]
 
 # exact and integral --N, and the --to of the exact or integral sweeps in
 # disproof and compare, above this exit 2 before any work: exact_coefficients
-# costs O(N^2) big-integer steps whose operands grow with N, about N^4 in all,
-# and past N = 500 the arc's doubling ladder fails at 1024 nodes
+# costs O(N^2) big-integer steps whose operands grow with N, about N^4 in all;
+# the arc's ladder converges up to N = 500 at l = 1, and the integral shares
+# this cap so that every integral it prints has an exact value to check
 _MAX_N = 500
 # --prec-bits above this exits 2 before any work, whatever the subcommand: at
 # 1024 bits check took 4.4 s and figures 8.2 s, at 2048 bits 11 s and 18 s
@@ -362,11 +363,11 @@ def run_checks(precision: int = 256):
     dev = constant_c_euler_check()
     ok = dev < mp.mpf("1e-3")
     yield "c consistent with direct quadrature", ok, f"relative deviation = {mp.nstr(dev, 3)}"
-    full = _arc_integral(1, 20, 64, precision, full=True)
+    full = _arc_integral(1, 20, 2, precision, full=True)
     ok = abs(full.imag) < loose * max(1, abs(full))
     yield "arc integral real before the cast", ok, f"Im = {mp.nstr(abs(full.imag), 3)}"
-    v64 = _arc_integral(1, 20, 64, precision, full=False)
-    v128 = _arc_integral(1, 20, 128, precision, full=False)
+    v64 = _arc_integral(1, 20, 2, precision, full=False)
+    v128 = _arc_integral(1, 20, 4, precision, full=False)
     yield (
         "arc quadrature stable under node doubling",
         abs(v128 - v64) < mp.mpf("1e-10") * abs(v128),

@@ -49,6 +49,19 @@ def _tick_label(t: float) -> str:
     return f"{t:.6g}"
 
 
+def _line(x1, y1, x2, y2, stroke="#000000", width=1, dash=None) -> str:
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"{dash}/>'
+    )
+
+
+def _text(x, y, body, size, anchor=None) -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}">{body}</text>'
+
+
 def line_chart(series, labels, title: str) -> str:
     """SVG chart of one or two series, each a list of (x, y) floats.
 
@@ -86,54 +99,28 @@ def line_chart(series, labels, title: str) -> str:
     def sy(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-    )
-    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
-    out.append(
-        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>'
-    )
-    # Axes
     x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
-    out.append(
-        f'<line x1="{x0}" y1="{_MARGIN_T}" x2="{x0}" y2="{y0}" '
-        f'stroke="#000000" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{_WIDTH - _MARGIN_R}" y2="{y0}" '
-        f'stroke="#000000" stroke-width="1"/>'
-    )
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        _text(_WIDTH // 2, 24, title, 16, "middle"),
+        # Axes
+        _line(x0, _MARGIN_T, x0, y0),
+        _line(x0, y0, _WIDTH - _MARGIN_R, y0),
+    ]
     for t in _ticks(x_lo, x_hi):
-        px = sx(t)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 5}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{y0 + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
-        )
+        px = _fmt(sx(t))
+        out.append(_line(px, y0, px, y0 + 5))
+        out.append(_text(px, y0 + 20, _tick_label(t), 11, "middle"))
     for t in _ticks(y_lo, y_hi):
         py = sy(t)
-        out.append(
-            f'<line x1="{x0 - 5}" y1="{_fmt(py)}" x2="{x0}" y2="{_fmt(py)}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
-        )
+        out.append(_line(x0 - 5, _fmt(py), x0, _fmt(py)))
+        out.append(_text(x0 - 8, _fmt(py + 4), _tick_label(t), 11, "end"))
     # Zero line if the range crosses it
     if y_lo < 0 < y_hi:
-        py = sy(0)
-        out.append(
-            f'<line x1="{x0}" y1="{_fmt(py)}" x2="{_WIDTH - _MARGIN_R}" '
-            f'y2="{_fmt(py)}" stroke="#cccccc" stroke-width="1" '
-            f'stroke-dasharray="4 3"/>'
-        )
+        py = _fmt(sy(0))
+        out.append(_line(x0, py, _WIDTH - _MARGIN_R, py, "#cccccc", dash="4 3"))
     for idx, pts in enumerate(cleaned):
         if not pts:
             continue
@@ -145,13 +132,7 @@ def line_chart(series, labels, title: str) -> str:
     for idx, label in enumerate(labels):
         lx = _MARGIN_L + 10
         ly = _MARGIN_T + 16 + 18 * idx
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-            f'stroke="{_COLORS[idx]}" stroke-width="{2 - idx}"/>'
-        )
-        out.append(
-            f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
+        out.append(_line(lx, ly - 4, lx + 24, ly - 4, _COLORS[idx], 2 - idx))
+        out.append(_text(lx + 30, ly, label, 12))
     out.append("</svg>")
     return "\n".join(out) + "\n"

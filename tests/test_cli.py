@@ -216,7 +216,7 @@ class TestAsymptoticAndIntegral:
 
     def test_integral_exits_1_when_the_ladder_does_not_converge(self, capsys, monkeypatch):
         # 128 and 256 nodes agree at N = 175, but 64 and 128 do not
-        monkeypatch.setattr(contour, "_MAX_NODES", 128)
+        monkeypatch.setattr(contour, "_MAX_PANELS", 4)
         assert cli.main(["integral", "--N", "175"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -169,15 +169,15 @@ class TestArcIntegral:
         assert (v > 0) == (exact > 0)
 
     def test_node_doubling_stable(self):
-        v64 = _arc_integral(1, 20, 64, PREC, False)
-        v128 = _arc_integral(1, 20, 128, PREC, False)
+        v64 = _arc_integral(1, 20, 2, PREC, False)
+        v128 = _arc_integral(1, 20, 4, PREC, False)
         with mp.workprec(PREC):
             assert abs(v128 - v64) < mp.mpf("1e-10") * abs(v128)
 
     def test_doubling_delta_decays_spectrally(self):
-        v32 = _arc_integral(1, 20, 32, PREC, False)
-        v64 = _arc_integral(1, 20, 64, PREC, False)
-        v128 = _arc_integral(1, 20, 128, PREC, False)
+        v32 = _arc_integral(1, 20, 1, PREC, False)
+        v64 = _arc_integral(1, 20, 2, PREC, False)
+        v128 = _arc_integral(1, 20, 4, PREC, False)
         with mp.workprec(PREC):
             assert abs(v64 - v32) > 10 * abs(v128 - v64)
 
@@ -187,32 +187,22 @@ class TestArcIntegral:
         exact = _as_mpf(small_vectors[20].coeff(1))
         with mp.workprec(PREC):
             rel = [
-                abs(_arc_integral(1, 20, nodes, PREC, False) - exact) / abs(exact)
-                for nodes in (128, 256)
+                abs(_arc_integral(1, 20, panels, PREC, False) - exact) / abs(exact)
+                for panels in (4, 8)  # 128 and 256 nodes
             ]
             assert mp.nstr(rel[0], 6) == mp.nstr(rel[1], 6) == "0.0342932"
 
     def test_full_arc_is_real_before_cast(self):
-        full = _arc_integral(1, 20, 64, PREC, True)
+        full = _arc_integral(1, 20, 2, PREC, True)
         with mp.workprec(PREC):
             assert abs(full.imag) < mp.mpf(2) ** (-(PREC // 2)) * max(1, abs(full))
 
     def test_full_arc_matches_half_arc(self):
-        full = _arc_integral(1, 20, 128, PREC, True)
-        half = _arc_integral(1, 20, 64, PREC, False)
+        full = _arc_integral(1, 20, 4, PREC, True)
+        half = _arc_integral(1, 20, 2, PREC, False)
         with mp.workprec(PREC):
             # same node density; the two reductions agree to quadrature error
             assert abs(full.real - half) < mp.mpf("1e-15") * abs(half)
-
-    @pytest.mark.parametrize("nodes", [7, 33, 40, 47, 48, 80])
-    def test_rejects_counts_the_layout_does_not_realize(self, monkeypatch, nodes):
-        # panels hold 32 nodes, so 40 once gave the 32-node value and 48 the
-        # 64-node one; now the count is refused before any node is computed
-        monkeypatch.setattr(contour, "_arc_nodes", _no_nodes)
-        with pytest.raises(ValueError, match="8..32 nodes or a multiple of 32"):
-            _arc_integral(1, 20, nodes, PREC, False)
-        with pytest.raises(ValueError, match="8..32 nodes or a multiple of 32"):
-            _arc_integral(1, 20, nodes, PREC, True)
 
     def test_precision_floor(self, monkeypatch):
         monkeypatch.setattr(contour, "_arc_nodes", _no_nodes)
@@ -220,20 +210,19 @@ class TestArcIntegral:
             integral_approx_C(1, 20, 32)
 
     def test_accepted_count_is_the_count_used(self):
-        # 96 nodes = three whole panels; each panel is one 32-point rule
-        assert len(contour._arc_nodes(96, PREC, False)) == 96
-        assert len(contour._arc_nodes(20, PREC, False)) == 20
-        v96 = _arc_integral(1, 20, 96, PREC, False)
-        v64 = _arc_integral(1, 20, 64, PREC, False)
-        v128 = _arc_integral(1, 20, 128, PREC, False)
+        # three panels of one 32-point rule each: 96 nodes
+        assert len(contour._arc_nodes(3, PREC, False)) == 96
+        v96 = _arc_integral(1, 20, 3, PREC, False)
+        v64 = _arc_integral(1, 20, 2, PREC, False)
+        v128 = _arc_integral(1, 20, 4, PREC, False)
         assert v96 not in (v64, v128)
         with mp.workprec(PREC):
             assert abs(v96 - v128) < mp.mpf("1e-10") * abs(v128)
 
 
-def plain_arc_integral(l, N, nodes, precision, full):
+def plain_arc_integral(l, N, panels, precision, full):
     """Reference for _arc_integral: the sum on plain mpc objects."""
-    data = contour._arc_nodes(nodes, precision, full)
+    data = contour._arc_nodes(panels, precision, full)
     with mp.workprec(precision + 32):
         half = l - mp.mpf(1) / 2
         terms = [
@@ -254,18 +243,19 @@ class TestArcKernel:
     @pytest.mark.parametrize("nodes", [32, 64, 128])
     def test_bit_identical_to_plain_mpc_loop(self, nodes, prec, full):
         raw = "_mpc_" if full else "_mpf_"
+        panels = nodes // contour._PANEL
         for l in (1, 2, 5):
             for N in (1, 7, 20, 40, 88, 150):
-                got = _arc_integral(l, N, nodes, prec, full)
-                want = plain_arc_integral(l, N, nodes, prec, full)
+                got = _arc_integral(l, N, panels, prec, full)
+                want = plain_arc_integral(l, N, panels, prec, full)
                 assert getattr(got, raw) == getattr(want, raw), (l, N)
 
 
 class TestArcNodeCache:
     def test_same_key_is_a_hit_on_the_same_object(self):
-        first = contour._arc_nodes(16, 64, False)
+        first = contour._arc_nodes(1, 64, False)
         hits = contour._arc_nodes.cache_info().hits
-        assert contour._arc_nodes(16, 64, False) is first
+        assert contour._arc_nodes(1, 64, False) is first
         assert contour._arc_nodes.cache_info().hits == hits + 1
 
 
@@ -282,17 +272,17 @@ def plain_legendre_p(n, x):
 
 
 class TestLegendreRule:
-    @pytest.mark.parametrize("prec", [64, 256, 512])
-    @pytest.mark.parametrize("n", [8, 20, 32])
+    @pytest.mark.parametrize("n, prec", [(32, prec) for prec in (64, 256, 512)])
     def test_bit_identical_to_plain_mpf_recurrence(self, monkeypatch, n, prec):
         contour._legendre_rule.cache_clear()
-        got = contour._legendre_rule(n, prec)
+        got = contour._legendre_rule(prec)
         contour._legendre_rule.cache_clear()
         monkeypatch.setattr(contour, "_legendre_p", plain_legendre_p)
         try:
-            want = contour._legendre_rule(n, prec)
+            want = contour._legendre_rule(prec)
         finally:
             contour._legendre_rule.cache_clear()  # drop the rule built on the reference
+        assert len(got) == n
         assert [(x._mpf_, w._mpf_) for x, w in got] == [(x._mpf_, w._mpf_) for x, w in want]
 
 
@@ -342,8 +332,8 @@ class TestSplitMap:
     def tables(self):
         contour._arc_nodes.cache_clear()
         contour._oracle_nodes.cache_clear()
-        arcs = ((64, False), (128, False), (64, True))
-        tables = [contour._arc_nodes(n, 256, full) for n, full in arcs]
+        arcs = ((2, False), (4, False), (2, True))
+        tables = [contour._arc_nodes(panels, 256, full) for panels, full in arcs]
         for spec in (oracle_spec(20), dataclasses.replace(oracle_spec(20), precision=512)):
             contour._oracle_nodes.cache_clear()
             tables.append(contour._oracle_nodes(20, spec))
@@ -391,34 +381,43 @@ class TestSplitMap:
 
 
 class TestNodeLadder:
-    """integral_approx_C doubles 64 -> 128 -> ... -> 1024 nodes until two
-    successive counts agree to 1e-6 relative."""
+    """integral_approx_C doubles 2 -> 4 -> ... -> 64 panels of 32 nodes
+    (64 -> 128 -> ... -> 2048 nodes) until two successive counts agree to
+    1e-6 relative."""
 
     def test_converged_value_past_the_first_doubling(self):
         # 64 and 128 nodes differ by 5e12 relative at N = 225
         got = integral_approx_C(1, 225, PREC)
-        ref = _arc_integral(1, 225, 1024, PREC, False)
+        ref = _arc_integral(1, 225, 32, PREC, False)
         with mp.workprec(PREC):
             assert abs(got - ref) < mp.mpf("1e-12") * abs(ref)
 
-    @pytest.mark.parametrize("N, counts", [(100, [64, 128]), (175, [64, 128, 256])])
+    @pytest.mark.parametrize("N, counts", [(100, [2, 4]), (175, [2, 4, 8])])
     def test_stops_at_the_first_pair_that_agrees(self, monkeypatch, N, counts):
         seen = []
         arc_nodes = contour._arc_nodes
 
-        def spy(nodes, precision, full):
-            seen.append(nodes)
-            return arc_nodes(nodes, precision, full)
+        def spy(panels, precision, full):
+            seen.append(panels)
+            return arc_nodes(panels, precision, full)
 
         monkeypatch.setattr(contour, "_arc_nodes", spy)
         integral_approx_C(1, N, PREC)
         assert seen == counts
 
-    def test_raises_when_the_last_doubling_disagrees(self):
-        # 512 and 1024 nodes differ by 4.75 relative at N = 450
-        with pytest.raises(ArithmeticError, match="not converged at 1024 nodes"):
-            integral_approx_C(1, 450, PREC)
+    def test_converges_at_450_within_a_tenth_of_a_percent(self):
+        # 512 and 1024 nodes differ by 4.75 relative at N = 450; 1024 and 2048
+        # agree, at 5.5e-4 from exact
+        got = integral_approx_C(1, 450, PREC)
+        exact = _as_mpf(exact_coefficients(450).coeff(1))
+        with mp.workprec(PREC):
+            assert abs(got - exact) < mp.mpf("1e-3") * abs(exact)
 
+    def test_raises_when_the_last_doubling_disagrees(self, monkeypatch):
+        # 64 and 128 nodes differ by 486 relative at N = 175; 128 and 256 agree
+        monkeypatch.setattr(contour, "_MAX_PANELS", 4)
+        with pytest.raises(ArithmeticError, match="not converged at 128 nodes"):
+            integral_approx_C(1, 175, PREC)
 
 
 class TestMonotoneExponent:
