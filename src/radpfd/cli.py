@@ -50,7 +50,8 @@ __all__ = ["main", "write_figures", "run_checks"]
 # this cap so that every integral it prints has an exact value to check
 _MAX_N = 500
 # --prec-bits above this exits 2 before any work, whatever the subcommand: at
-# 1024 bits check took 4.4 s and figures 8.2 s, at 2048 bits 11 s and 18 s
+# 1024 bits check took 3.2 s and figures 4.4 s, at 2048 bits 9.8 s and 11 s
+# (medians of 3 runs on 2 cores)
 _MAX_PREC_BITS = 1024
 
 
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help=f"working precision in bits, at most {_MAX_PREC_BITS}; "
-        f"at {_MAX_PREC_BITS} check takes about 4 s and figures 8 s",
+        f"at {_MAX_PREC_BITS} check takes about 3 s and figures 4.5 s",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

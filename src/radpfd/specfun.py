@@ -24,17 +24,7 @@ import os
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import (
-    from_int,
-    mpc_abs,
-    mpc_add,
-    mpc_div_mpf,
-    mpc_mul,
-    mpc_one,
-    mpc_zero,
-    mpf_lt,
-    mpf_mul,
-)
+from mpmath.libmp import from_man_exp, mpc_abs, mpf_lt, mpf_mul
 
 __all__ = [
     "EvalResult",
@@ -119,11 +109,55 @@ def _pi2_over_6():
     return mp.pi**2 / 6
 
 
-def _top(z):
-    """An exponent E with max(|Re z|, |Im z|) in [2^(E-1), 2^E) for a raw
-    mpc tuple; a zero part counts as -infinity."""
-    (_, rm, re, rb), (_, im, ie, ib) = z
-    return max(re + rb if rm else -math.inf, ie + ib if im else -math.inf)
+def _round(m, e, prec):
+    """m * 2^e rounded to prec bits as mpmath's normalize rounds it: half
+    to even on |m|, then trailing zero bits moved into the exponent, so a
+    nonzero m comes back odd."""
+    n = m.bit_length() - prec
+    if n > 0:
+        a = -m if m < 0 else m
+        t = a >> (n - 1)
+        if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
+            a = (t >> 1) + 1
+        else:
+            a = t >> 1
+        m = -a if m < 0 else a
+        e += n
+    if m and not m & 1:
+        z = (m & -m).bit_length() - 1
+        m >>= z
+        e += z
+    return m, e
+
+
+def _add(am, ae, bm, be, prec):
+    """mpf_add of am * 2^ae and bm * 2^be at prec bits: the exact sum,
+    rounded, except where the exponents are over 100 apart and the tops
+    over prec + 4 apart; there mpf_add shifts the larger operand by
+    prec + 4 and adds the sign of the smaller in its last bit."""
+    if not am:
+        return _round(bm, be, prec)
+    if not bm:
+        return _round(am, ae, prec)
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    offset = ae - be
+    if offset > 100 and am.bit_length() + offset - bm.bit_length() > prec + 4:
+        return _round((am << (prec + 4)) + (1 if bm > 0 else -1), ae - prec - 4, prec)
+    return _round((am << offset) + bm, be, prec)
+
+
+def _div(m, e, d, de, prec):
+    """mpf_div of m * 2^e, m of at most prec bits, by the odd d times 2^de
+    at prec bits: a quotient with 5 or more extra bits, its last bit set
+    when the division leaves a remainder, then rounded."""
+    a = -m if m < 0 else m
+    extra = prec - a.bit_length() + d.bit_length() + 5
+    q, r = divmod(a << extra, d)
+    if r:
+        q = (q << 1) + 1
+        extra += 1
+    return _round(-q if m < 0 else q, e - de - extra, prec)
 
 
 def _series_li2(u, precision):
@@ -131,27 +165,47 @@ def _series_li2(u, precision):
 
     Stops once a term drops below 2^-(precision+8) of the accumulated
     modulus; callers guarantee u != 0 and |u| bounded away from 1, so the
-    tail is geometric.  The loop runs on raw mpc tuples with the rounding of
-    mpc arithmetic.  The exact stopping test (two moduli) runs on every
-    term that could stop the loop; the others are passed on exponents,
-    which prove |term| >= 2^(E_term - 1) > 4 * cutoff * 2^(E_acc + 1)
+    tail is geometric.  The loop keeps each real and imaginary part as a
+    signed Python-int mantissa and an exponent, and makes the operations
+    of mpc arithmetic at the ambient precision: the four exact products
+    and two sums of mpc_mul, the quotients of mpc_div_mpf by k^2 and the
+    sums of mpc_add.  It rounds half to even, mpmath's default rounding
+    mode 'n', which the package never changes.  The exact stopping test
+    (two moduli, on mpmath tuples) runs on every term that could stop the
+    loop; the others are passed on exponents, which prove
+    |term| >= 2^(E_term - 1) > 4 * cutoff * 2^(E_acc + 1)
     > 4 * cutoff * |acc|, a margin no rounding of the exact test erases.
-    So the terms summed and the sum are those of the plain mpc loop.
+    So the terms summed and the sum are the bits of the plain mpc loop.
     """
     prec, rnd = mp.mp._prec_rounding
     cutoff = (mp.mpf(2) ** (-(precision + 8)))._mpf_
     gap = 4 - (precision + 8)  # skip the exact test while E_term - E_acc >= gap
-    u = u._mpc_
-    acc = mpc_zero
-    power = mpc_one
+    inf = math.inf
+    (cm, ce), (dm, de) = [(-m if sign else m, e) for sign, m, e, _ in u._mpc_]
+    am, ae, bm, be = 1, 0, 0, 0  # power = a + b i
+    sm, se, tm, te = 0, 0, 0, 0  # acc = s + t i
     for k in range(1, 64 * (precision + 64)):
-        power = mpc_mul(power, u, prec, rnd)
-        term = mpc_div_mpf(power, from_int(k * k), prec, rnd)
-        acc = mpc_add(acc, term, prec, rnd)
-        if _top(term) - _top(acc) < gap and mpf_lt(
-            mpc_abs(term, prec, rnd), mpf_mul(cutoff, mpc_abs(acc, prec, rnd), prec, rnd)
-        ):
-            return mp.mp.make_mpc(acc)
+        (am, ae), (bm, be) = (
+            _add(am * cm, ae + ce, -bm * dm, be + de, prec),
+            _add(am * dm, ae + de, bm * cm, be + ce, prec),
+        )
+        kk = k * k
+        kz = (kk & -kk).bit_length() - 1
+        xm, xe = _div(am, ae, kk >> kz, kz, prec)
+        ym, ye = _div(bm, be, kk >> kz, kz, prec)
+        sm, se = _add(sm, se, xm, xe, prec)
+        tm, te = _add(tm, te, ym, ye, prec)
+        # E with max(|Re|, |Im|) in [2^(E-1), 2^E); a zero part counts as -inf
+        e_term = max(xe + xm.bit_length() if xm else -inf, ye + ym.bit_length() if ym else -inf)
+        e_acc = max(se + sm.bit_length() if sm else -inf, te + tm.bit_length() if tm else -inf)
+        if e_term - e_acc < gap:
+            term = (from_man_exp(xm, xe), from_man_exp(ym, ye))
+            acc = (from_man_exp(sm, se), from_man_exp(tm, te))
+            if mpf_lt(
+                mpc_abs(term, prec, rnd),
+                mpf_mul(cutoff, mpc_abs(acc, prec, rnd), prec, rnd),
+            ):
+                return mp.mp.make_mpc(acc)
     raise RuntimeError("dilogarithm series failed to converge")
 
 

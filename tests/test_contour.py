@@ -296,6 +296,23 @@ def _digest(table):
     return hashlib.sha256(repr(raw).encode()).hexdigest()
 
 
+# _digest of the half-arc tables at 256 bits, by panel count, recorded
+# with mpmath 1.3.0 when every node's Li2 series made its steps through
+# mpmath's libmpc calls. A kernel that drifts together with its in-test
+# reference still changes these.
+ARC_NODE_DIGESTS = {
+    2: "8b78ada134fb987872c4f3a6d9a23b5eef0354280301494f29099eabf510f133",
+    4: "56386357f48a53235d19fa09a21559730aec96fd8af06b342e375a978d564fbb",
+}
+
+
+class TestArcNodeDigest:
+    @pytest.mark.parametrize("panels", sorted(ARC_NODE_DIGESTS))
+    def test_pinned_half_arc_tables(self, panels):
+        contour._arc_nodes.cache_clear()
+        assert _digest(contour._arc_nodes(panels, 256, False)) == ARC_NODE_DIGESTS[panels]
+
+
 def plain_oracle_nodes(N, spec):
     """Reference for _oracle_nodes: the product loop on plain mpc objects."""
     M = spec.nodes

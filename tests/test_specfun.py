@@ -1,10 +1,14 @@
 """Special functions against independent mpmath oracles and identities."""
 
+import random
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, round_nearest
 
+import radpfd.specfun as specfun
 from radpfd.specfun import (
     _phi_pair,
     _series_li2,
@@ -116,17 +120,108 @@ def plain_series_li2(u, precision):
     raise RuntimeError("dilogarithm series failed to converge")
 
 
+def series_inputs(prec):
+    """Arguments for the series kernel, built at the working precision."""
+    # |u| from 1e-6 to 0.75 and arguments k pi / 8 round the circle
+    us = [
+        mp.mpf(r) * mp.expjpi(mp.mpf(k) / 8)
+        for r in ("1e-6", "1e-3", "0.1", "0.4", "0.6", "0.75")
+        for k in range(16)
+    ]
+    # parts more than 100 bits apart, larger real or larger imaginary part,
+    # where mpf_add perturbs the larger operand instead of adding exactly
+    far = [("0.5", "1e-40"), ("1e-80", "0.6"), ("-0.7", "3e-50")]
+    far += [("0.75", "1e-40"), ("-1e-60", "0.75"), ("0.75", "-2e-45")]
+    us += [mp.mpc(x, y) for x, y in far]
+    # purely real and purely imaginary
+    us += [mp.mpc(x, 0) for x in ("0.5", "-0.75", "1e-30", "-0.123")]
+    us += [mp.mpc(0, y) for y in ("0.5", "-0.75", "1e-30", "0.321")]
+    # and 40 seeded random points of the disk |u| <= 0.75, their parts
+    # carrying a full-width mantissa
+    rng, fixed = random.Random(prec), len(us)
+
+    def part():
+        return mp.ldexp(rng.getrandbits(mp.mp.prec), -mp.mp.prec) * 1.5 - 0.75
+
+    while len(us) < fixed + 40:
+        u = mp.mpc(part(), part())
+        if 0 < abs(u) <= 0.75:
+            us.append(u)
+    return us
+
+
+def odd(rng, bits):
+    """A random odd mantissa of exactly `bits` bits, either sign."""
+    m = rng.getrandbits(bits - 1) | 1 << (bits - 1) | 1
+    return -m if rng.random() < 0.5 else m
+
+
+def add_operands(rng, prec):
+    """(am, ae, bm, be) for mpf_add at prec bits: random pairs, pairs of
+    products on both sides of the perturbation thresholds (the tops
+    prec + 4 apart, the exponents 100 apart), rounding ties far above a
+    tiny operand, and exact ties."""
+    for _ in range(300):
+        am, bm = odd(rng, rng.randint(1, 2 * prec)), odd(rng, rng.randint(1, 2 * prec))
+        yield am, rng.randint(-3 * prec, 3 * prec), bm, 0
+    for _ in range(300):
+        delta = prec + rng.randint(1, 12)  # top(s) - top(t)
+        offset = rng.choice((delta, 100, 101))  # exponent of s - exponent of t
+        s, t = odd(rng, 2 * prec), odd(rng, 2 * prec + offset - delta)
+        if rng.random() < 0.5:
+            # s's bits between the rounding point and t's top read 100...0,
+            # so the exact sum and the perturbed one can round apart
+            low = 2 * prec - delta
+            a = abs(s) & ~((1 << prec) - (1 << low)) | 1 << (prec - 1)
+            s = a if s > 0 else -a
+        yield (s, 0, t, -offset) if rng.random() < 0.5 else (t, -offset, s, 0)
+    for _ in range(100):
+        tiny = odd(rng, rng.randint(1, prec))
+        yield odd(rng, prec + 1), 0, tiny, -rng.randint(prec + 110, 3 * prec)
+        yield odd(rng, prec + 1), 0, 0, 0  # rounds to the even neighbour
+
+
 class TestSeriesLi2:
+    @pytest.mark.parametrize("prec", [96, 160, 288, 544])
+    def test_steps_round_as_libmpf(self, prec):
+        rng = random.Random(prec)
+        for am, ae, bm, be in add_operands(rng, prec):
+            m, e = specfun._add(am, ae, bm, be, prec)
+            assert m % 2 or not m
+            want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
+            assert from_man_exp(m, e) == want, (am, ae, bm, be)
+        for _ in range(1000):
+            am, ae = odd(rng, rng.randint(1, prec)), rng.randint(-prec, prec)
+            k = rng.randint(1, 5000)
+            kz = (k * k & -(k * k)).bit_length() - 1
+            m, e = specfun._div(am, ae, k * k >> kz, kz, prec)
+            assert m % 2
+            want = mpf_div(from_man_exp(am, ae), from_int(k * k), prec, round_nearest)
+            assert from_man_exp(m, e) == want, (am, ae, k)
+
     @pytest.mark.parametrize("prec", [64, 128, 256, 512])
     def test_bit_identical_to_plain_mpc_loop(self, prec):
-        # |u| from 1e-6 to 0.75 and arguments k pi / 8 round the circle,
-        # the axes (a zero real or imaginary part) included.
         with mp.workprec(prec + 32):
-            for r in ("1e-6", "1e-3", "0.1", "0.4", "0.6", "0.75"):
-                for k in range(16):
-                    u = mp.mpf(r) * mp.expjpi(mp.mpf(k) / 8)
-                    got = _series_li2(u, prec)
-                    assert got._mpc_ == plain_series_li2(u, prec)._mpc_
+            for u in series_inputs(prec):
+                got = _series_li2(u, prec)
+                assert got._mpc_ == plain_series_li2(u, prec)._mpc_, u
+
+    @pytest.mark.parametrize("prec", [64, 512])
+    def test_inputs_reach_the_perturbed_sum(self, monkeypatch, prec):
+        perturbed = []
+        add = specfun._add
+
+        def spy(am, ae, bm, be, p):
+            if am and bm:
+                offset, top = ae - be, am.bit_length() + ae - bm.bit_length() - be
+                perturbed.append(abs(offset) > 100 and abs(top) > p + 4 and offset * top > 0)
+            return add(am, ae, bm, be, p)
+
+        monkeypatch.setattr(specfun, "_add", spy)
+        with mp.workprec(prec + 32):
+            for u in series_inputs(prec):
+                _series_li2(u, prec)
+        assert any(perturbed) and not all(perturbed)
 
 
 class TestHurwitzZeta:
