@@ -72,7 +72,7 @@ from mpmath.libmp import (
     mpf_sub,
 )
 
-from .specfun import _GUARD, _check_precision, _split_map, dilog
+from .specfun import _GUARD, _check_precision, _dilog_value, _pi2_over_6, _split_map, dilog
 
 __all__ = [
     "QuadratureSpec",
@@ -170,19 +170,19 @@ def _pairwise_sum(values, add=operator.add):
     return add(_pairwise_sum(values[:half], add), _pairwise_sum(values[half:], add))
 
 
-def _legendre_p(n: int, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence, at the working
-    precision of the caller.  The loop runs on raw mpf tuples, with the
+def _legendre_p(x):
+    """P_n(x) and P_n'(x), n = _PANEL, by the three-term recurrence at the
+    caller's working precision.  The loop runs on raw mpf tuples, with the
     libmpf calls that the mpf expressions ((2j-1) x p1 - (j-1) p0) / j and
     n (x p1 - p0) / (x x - 1) make, so the results are the same bits."""
     prec, rnd = mp.mp._prec_rounding
     x = x._mpf_
     p0, p1 = fone, x
-    for j in range(2, n + 1):
+    for j in range(2, _PANEL + 1):
         t = mpf_mul(mpf_mul_int(x, 2 * j - 1, prec, rnd), p1, prec, rnd)
         t = mpf_sub(t, mpf_mul_int(p0, j - 1, prec, rnd), prec, rnd)
         p0, p1 = p1, mpf_div(t, from_int(j), prec, rnd)
-    dp = mpf_mul_int(mpf_sub(mpf_mul(x, p1, prec, rnd), p0, prec, rnd), n, prec, rnd)
+    dp = mpf_mul_int(mpf_sub(mpf_mul(x, p1, prec, rnd), p0, prec, rnd), _PANEL, prec, rnd)
     dp = mpf_div(dp, mpf_sub(mpf_mul(x, x, prec, rnd), fone, prec, rnd), prec, rnd)
     return mp.mp.make_mpf(p1), mp.mp.make_mpf(dp)
 
@@ -196,12 +196,12 @@ def _legendre_rule(precision: int):
         for k in range(n):
             x = mp.mpf(math.cos(math.pi * (k + 0.75) / (n + 0.5)))
             for _ in range(precision):
-                p, dp = _legendre_p(n, x)
+                p, dp = _legendre_p(x)
                 dx = p / dp
                 x -= dx
                 if abs(dx) < mp.mpf(2) ** (-(precision + 8)):
                     break
-            dp = _legendre_p(n, x)[1]
+            dp = _legendre_p(x)[1]
             w = 2 / ((1 - x * x) * dp * dp)
             nodes.append((x, w))
         return tuple(nodes)
@@ -223,16 +223,15 @@ def _arc_nodes(panels: int, precision: int, full: bool):
         hi = 3 * mp.pi / 2 if full else mp.pi
         width = (hi - lo) / panels
         half = width / 2
-        pi2_6 = mp.pi**2 / 6
 
         def node(item):
             mid, x, w = item
             e = mp.exp(mp.mpc(0, 1) * (mid + half * x))
             z = 5 * e
             ez = mp.exp(z)
-            li = dilog(ez, precision).value
+            rate = _dilog_value(ez, precision) - _pi2_over_6()
             invsq = 1 / mp.sqrt(1 - ez)
-            return (z, w * half * 5j * e, mp.log(-z), invsq, (li - pi2_6) / z)
+            return (z, w * half * 5j * e, mp.log(-z), invsq, rate / z)
 
         mids = [lo + panel * width + half for panel in range(panels)]
         return tuple(_split_map(node, [(mid, x, w) for mid in mids for x, w in rule]))
@@ -397,11 +396,9 @@ def check_monotone_exponent(path) -> bool:
                 raise ValueError("path touches z = 0")
             if z.real > 0:
                 raise ValueError("path leaves the half-plane Re z <= 0")
-        pi2_6 = mp.pi**2 / 6
 
         def sample(z):
-            li = dilog(mp.exp(z), precision).value
-            return ((li - pi2_6) / z).real
+            return ((_dilog_value(mp.exp(z), precision) - _pi2_over_6()) / z).real
 
         samples = _split_map(sample, zs)
         return not any(b < a for a, b in zip(samples, samples[1:]))

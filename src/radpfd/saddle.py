@@ -62,10 +62,11 @@ class AsymptoticValue:
 def _solve_saddle(precision: int) -> mp.mpc:
     """Newton iteration for the root of phi, started at _INITIAL.
 
-    Returns only once |phi(z)| < 2^-(precision-16).  The root is simple
-    and unique within distance 1 of the start.  Fails if 100 iterations
-    do not converge or an iterate drifts more than distance 2 from the
-    start.
+    Plain Newton steps; from 64 to 1024 bits each lowers |phi| and no
+    iterate lies farther than 0.006 from the start.  Returns once
+    |phi(z)| < 2^-(precision-16).  The root is simple and unique within
+    distance 1 of the start (argument_principle_count); fails on an
+    iterate farther out, before evaluating phi there, or after 100 steps.
     """
     with mp.workprec(precision + _GUARD):
         z = start = mp.mpc(_INITIAL)
@@ -74,19 +75,10 @@ def _solve_saddle(precision: int) -> mp.mpc:
         for _ in range(100):
             if abs(fz) < target:
                 return z
-            step = fz / dfz
-            # Step halving: accept only a decrease of |phi|.
-            for _ in range(60):
-                cand = z - step
-                fc, dfc = _phi_pair(cand, precision)
-                if abs(fc) < abs(fz):
-                    break
-                step /= 2
-            else:
-                raise RuntimeError("Newton stalled: no descent direction")
-            z, fz, dfz = cand, fc, dfc
-            if abs(z - start) > 2:
-                raise RuntimeError("iterate left the radius-2 disk; diverging")
+            z = z - fz / dfz
+            if abs(z - start) > 1:
+                raise RuntimeError("iterate left the radius-1 disk of the unique root")
+            fz, dfz = _phi_pair(z, precision)
         raise RuntimeError("no convergence within 100 iterations")
 
 

@@ -209,7 +209,7 @@ def _series_li2(u, precision):
     raise RuntimeError("dilogarithm series failed to converge")
 
 
-def _dilog_value(w, precision, depth=0):
+def _dilog_value(w, precision):
     if w == 0:
         return mp.mpc(0)
     if w == 1:
@@ -218,13 +218,12 @@ def _dilog_value(w, precision, depth=0):
     m_reflect = abs(1 - w)
     m_landen = abs(w / (w - 1))
     best = min(m_direct, m_reflect, m_landen)
-    if best > mp.mpf("0.75") and depth < 4:
-        # Near w = e^(+-i pi/3) all three routes degenerate toward
-        # modulus 1; the square relation Li2(w) = Li2(w^2)/2 - Li2(-w)
-        # maps both children to well-conditioned regions.
-        return _dilog_value(w * w, precision, depth + 1) / 2 - _dilog_value(
-            -w, precision, depth + 1
-        )
+    if best > mp.mpf("0.75"):
+        # Near w = e^(+-i pi/3) all three routes degenerate toward modulus
+        # 1; the square relation Li2(w) = Li2(w^2)/2 - Li2(-w) sends both
+        # children (on this band of |w| <= 1) to a route of modulus at
+        # most 0.7191, so it recurses one level only.
+        return _dilog_value(w * w, precision) / 2 - _dilog_value(-w, precision)
     if best == m_direct:
         return _series_li2(w, precision)
     if best == m_reflect:

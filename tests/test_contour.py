@@ -263,8 +263,9 @@ def _no_nodes(*args):
     raise AssertionError("arc nodes computed for a rejected count")
 
 
-def plain_legendre_p(n, x):
+def plain_legendre_p(x):
     """Reference for _legendre_p: the same recurrence on plain mpf objects."""
+    n = contour._PANEL
     p0, p1 = mp.mpf(1), x
     for j in range(2, n + 1):
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j

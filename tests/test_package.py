@@ -58,3 +58,23 @@ def test_every_public_name_is_used_in_the_package():
                 read.add(node.attr)
     unused = set(radpfd.__all__) - {"__version__"} - read
     assert unused == UNUSED_IN_SRC.keys()
+
+
+def test_every_imported_name_is_read():
+    """No module of the package binds a name by an import and never reads
+    it; a refactor that drops the last use of an import must drop the
+    import too.  Future imports bind nothing the module reads."""
+    src = Path(radpfd.__file__).resolve().parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name.split(".")[0]) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((a.asname or a.name) for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        unread += [f"{path.name}: {name}" for name in sorted(bound - read)]
+    assert unread == []

@@ -1,5 +1,7 @@
 """Saddle solve, derived constants, and the asymptotic main term."""
 
+import hashlib
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,14 @@ Z0_90 = (
     "(-1.60552755354891455752450112916790792150394894184969445135105407619119981041334441037297235 + "
     "7.42342617062500237355098219449384859661233057819319424761721800085805902980634641363318105j)"
 )
+
+# sha256 of repr(_solve_saddle(precision)._mpc_), recorded while Newton
+# still halved each step that did not lower |phi|; no step needed it.
+Z0_DIGESTS = {
+    64: "aca46b626d522d456eead6f85834ad5d965c43864b1814da42ee55a18fe12914",
+    256: "5efb39a4b7252a74a8921dedcb0b80059367c60d00a19cd4f8125ef48e79b8d0",
+    1024: "50c28799169a858485c419ab6bdb8b09e43dc6eb6c135aec757e5588c6edd54c",
+}
 
 
 class TestSolve:
@@ -65,6 +75,32 @@ class TestSolve:
         assert mp.nstr(sd.z0, 90) == Z0_90
         assert mp.nstr(abs(phi(sd.z0, PREC)), 3) == "4.72e-81"
 
+    @pytest.mark.parametrize("precision", sorted(Z0_DIGESTS))
+    def test_pinned_root_bits(self, precision):
+        z0 = saddle._solve_saddle(precision)
+        assert hashlib.sha256(repr(z0._mpc_).encode()).hexdigest() == Z0_DIGESTS[precision]
+
+    def test_iterate_past_the_certified_radius_fails(self, monkeypatch):
+        # a root 1.5 from the start: outside the disk where
+        # argument_principle_count certifies the one root of phi
+        far = mp.mpc(saddle._INITIAL) + mp.mpf("1.5")
+        monkeypatch.setattr(saddle, "_phi_pair", lambda z, precision: (z - far, 1))
+        with pytest.raises(RuntimeError, match="radius-1 disk"):
+            saddle._solve_saddle(PREC)
+
+    def test_iteration_cap(self, monkeypatch):
+        points = []
+
+        def creeping(z, precision):
+            # Newton steps of 2^-40 that never reach the root
+            points.append(z)
+            return mp.mpc(1), mp.mpf(2) ** 40
+
+        monkeypatch.setattr(saddle, "_phi_pair", creeping)
+        with pytest.raises(RuntimeError, match="within 100 iterations"):
+            saddle._solve_saddle(PREC)
+        assert len(points) == 101  # the start and 100 steps
+
     def test_precision_floor_rejected(self):
         with pytest.raises(ValueError, match="at least 64 bits"):
             saddle_constants(32)
@@ -78,10 +114,9 @@ class TestOneDilogPerPoint:
         seen = []
         inner = specfun._dilog_value
 
-        def counting(w, precision, depth=0):
-            if depth == 0:
-                seen.append(w)
-            return inner(w, precision, depth)
+        def counting(w, precision):
+            seen.append(w)
+            return inner(w, precision)
 
         monkeypatch.setattr(specfun, "_dilog_value", counting)
         # the spy sees this process only: compute every node here

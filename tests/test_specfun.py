@@ -1,5 +1,7 @@
 """Special functions against independent mpmath oracles and identities."""
 
+import cmath
+import math
 import random
 
 import mpmath as mp
@@ -102,6 +104,45 @@ class TestDilog:
                         - mp.pi**2 / 6
                     )
                     assert resid < bound
+
+
+def best_route(v):
+    """The least modulus among specfun._dilog_value's three routes at v != 1:
+    the series in v, in 1 - v and in v / (v - 1)."""
+    return min(abs(v), abs(1 - v), abs(v / (v - 1)))
+
+
+class TestSquareRelation:
+    """Where all three routes exceed 0.75, the square relation
+    Li2(w) = Li2(w^2)/2 - Li2(-w) takes over, and both children have a
+    route of modulus at most 0.72, so it recurses one level only."""
+
+    def test_children_leave_the_band(self):
+        # polar grid of |w| in [0.75, 1]; a 2000 x 8000 grid gives 0.7191
+        band = 0
+        for i in range(200):
+            r = 0.75 + 0.25 * i / 199
+            for k in range(800):
+                w = cmath.rect(r, 2 * math.pi * k / 800)
+                if w == 1 or best_route(w) <= 0.75:
+                    continue
+                band += 1
+                assert best_route(w * w) <= 0.72 and best_route(-w) <= 0.72, w
+        assert band > 1000
+
+    def test_three_evaluations_at_a_band_point(self, monkeypatch):
+        args = []
+        inner = specfun._dilog_value
+
+        def counting(w, precision):
+            args.append(w)
+            return inner(w, precision)
+
+        monkeypatch.setattr(specfun, "_dilog_value", counting)
+        w = mp.mpf("0.9") * mp.expjpi(mp.mpf(1) / 3)
+        assert best_route(complex(w)) > 0.75
+        dilog(w, PREC)
+        assert len(args) == 3  # w, w^2 and -w
 
 
 def plain_series_li2(u, precision):
