@@ -98,54 +98,34 @@ def _exact_window(n_from: int, n_to: int):
 def build_rows(cfg: RunConfig):
     """One ComparisonRow per N in [n_from, n_to] for the configured l.
 
-    Exact values come from a single incremental sweep over the N >= l
-    of the range, and the integral column from contour._integrals, which
-    splits the arc integrals of those N across the CPUs; rows where
-    l > N leave every cell empty (no such coefficient exists, so nothing
-    approximates it).
+    The rows where l > N come first and leave every cell empty (no such
+    coefficient exists, so nothing approximates it).  One pass builds
+    the rest: exact values from a single incremental sweep over the
+    N >= l of the range, the integral column from contour._integrals,
+    which splits the arc integrals of those N across the CPUs, and the
+    exact value in mpf only where the two asymptotic error cells read it.
     """
-    want_exact = "exact" in cfg.modes
-    want_asym = "asymptotic" in cfg.modes
-    want_int = "integral" in cfg.modes
-    prec = cfg.precision_bits
-    sd = saddle_constants(prec) if want_asym and cfg.l <= cfg.n_to else None
+    prec, l = cfg.precision_bits, cfg.l
+    Ns = range(max(cfg.n_from, l), cfg.n_to + 1)  # the N >= l only
+    rows = [ComparisonRow(N, l, *[None] * 5) for N in range(cfg.n_from, min(l, cfg.n_to + 1))]
+    if not Ns:
+        return rows
+    sd = saddle_constants(prec) if "asymptotic" in cfg.modes else None
+    window = _exact_window(Ns.start, Ns.stop - 1) if "exact" in cfg.modes else None
+    integrals = _integrals(l, Ns, prec) if "integral" in cfg.modes else [None] * len(Ns)
 
-    Ns = range(max(cfg.n_from, cfg.l), cfg.n_to + 1)  # the N >= l only
-    exact_values = _exact_window(Ns.start, Ns.stop - 1) if want_exact and Ns else {}
-    integrals = dict(zip(Ns, _integrals(cfg.l, Ns, prec))) if want_int and Ns else {}
-
-    rows = []
-    for N in range(cfg.n_from, cfg.n_to + 1):
-        if cfg.l > N:
-            rows.append(ComparisonRow(N, cfg.l, None, None, None, None, None))
-            continue
-        exact_q = None
-        exact_val = None
-        if want_exact:
-            exact_q = exact_values[N][cfg.l - 1]
-            exact_val = _to_mpf(exact_q, prec + _GUARD)
-        asym = None
-        abs_err = None
-        rel_err = None
-        if want_asym:
-            asym = asymptotic_C(cfg.l, N, sd).main_term
-            if exact_val is not None:
+    for N, integ in zip(Ns, integrals):
+        q = window[N][l - 1] if window is not None else None
+        asym = abs_err = rel_err = None
+        if sd is not None:
+            asym = asymptotic_C(l, N, sd).main_term
+            if q is not None:
+                exact_val = _to_mpf(q, prec + _GUARD)
                 with mp.workprec(prec + _GUARD):
                     abs_err = abs(exact_val - asym)
                     if exact_val != 0:
                         rel_err = abs_err / abs(exact_val)
-        integ = integrals.get(N)
-        rows.append(
-            ComparisonRow(
-                N=N,
-                l=cfg.l,
-                exact=exact_q,
-                asymptotic=asym,
-                integral=integ,
-                abs_err_asym=abs_err,
-                rel_err_asym=rel_err,
-            )
-        )
+        rows.append(ComparisonRow(N, l, q, asym, integ, abs_err, rel_err))
     return rows
 
 

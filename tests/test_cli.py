@@ -358,6 +358,23 @@ class TestCompare:
         assert [int(r["N"]) for r in rows] == [500, 501]
         assert rows[1]["asymptotic"] != "" and rows[1]["exact_rational"] == ""
 
+    def test_span_past_the_row_cap_exits_2_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "coefficient_range", _unswept)
+        monkeypatch.setattr(report, "saddle_constants", _unsolved)
+        # --l 3 would note the empty rows N = 1..2 on stderr, after the check
+        argv = ["compare", "--from", "1", "--to", "10001", "--l", "3", "--modes", "asymptotic"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --from..--to must span at most 10000 values, got 10001\n"
+
+    def test_far_short_span_is_computed(self, capsys):
+        argv = ["compare", "--from", "1000000", "--to", "1000009", "--modes", "asymptotic"]
+        assert cli.main(argv) == 0
+        rows = _read_csv(capsys.readouterr().out)
+        assert [int(r["N"]) for r in rows] == list(range(1000000, 1000010))
+        assert all(r["asymptotic"] != "" for r in rows)
+
     def test_integral_mode_doubles_nodes_past_128(self, capsys):
         # 128 nodes give 469.92; 256 and 512 nodes agree on 470.1144
         argv = ["compare", "--from", "225", "--to", "225", "--modes", "integral"]
@@ -518,7 +535,8 @@ class TestOutputFlags:
 class TestPinnedOutputs:
     """sha256 of whole stdout texts, recorded before the saddle and the
     arc derived their fixed inputs (the integral lines: before the arc
-    found its own node count); the asymptotic column of build_rows is
+    found its own node count; the two-mode compare lines: before
+    build_rows took one row path); the asymptotic column of build_rows is
     pinned nowhere else."""
 
     THREE_MODES = ["compare", "--from", "1", "--to", "30", "--modes", "exact,asymptotic,integral"]
@@ -542,6 +560,20 @@ class TestPinnedOutputs:
             (
                 ["integral", "--N", "88", "--l", "3"],
                 "1210fec980adcf8b14b467fd9d7476ae938c8fa2c3963b6da233d195509e1253",
+            ),
+            (
+                ["compare", "--from", "1", "--to", "40", "--modes", "exact,integral"],
+                "8a81212b92af9605bfd0f2ff75126f78105ea6192c007a766cdd7a7a41201356",
+            ),
+            (
+                ["compare", "--from", "1", "--to", "8", "--l", "3"]
+                + ["--modes", "exact,asymptotic", "--format", "json"],
+                "9517b11896fd1f596e34b1673b7ba779cda866be6ce61f7268ab1213e5edda12",
+            ),
+            (
+                ["compare", "--from", "1", "--to", "12", "--l", "2"]
+                + ["--modes", "asymptotic,integral"],
+                "f509ef90c0719e99d3c79bad6098b17be5dc0f8038a3baabfd16864c0e665a03",
             ),
         ],
     )

@@ -101,6 +101,20 @@ class TestBuildRows:
         assert calls == [(3, 4)]
         assert [r.exact is not None for r in rows] == [False, False, True, True]
 
+    def test_exact_alone_converts_no_exact_value(self, monkeypatch):
+        # only the asymptotic error cells read the exact value in mpf
+        calls = []
+        real = report._to_mpf
+
+        def spy(q, precision):
+            calls.append(q)
+            return real(q, precision)
+
+        monkeypatch.setattr(report, "_to_mpf", spy)
+        rows = build_rows(RunConfig(PREC, 1, 10, 1, frozenset({"exact"})))
+        assert calls == []
+        assert all(r.exact is not None and r.abs_err_asym is None for r in rows)
+
     def test_integral_mode(self, small_vectors):
         cfg = RunConfig(
             precision_bits=PREC,
