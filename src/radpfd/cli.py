@@ -49,9 +49,9 @@ __all__ = ["main", "write_figures", "run_checks"]
 # the arc's ladder converges up to N = 500 at l = 1, and the integral shares
 # this cap so that every integral it prints has an exact value to check
 _MAX_N = 500
-# --prec-bits above this exits 2 before any work, whatever the subcommand: at
-# 1024 bits check took 3.2 s and figures 4.4 s, at 2048 bits 9.8 s and 11 s
-# (medians of 3 runs on 2 cores)
+# --prec-bits below 64 or above this exits 2 before any work, whatever the
+# subcommand: at 1024 bits check took 3.2 s and figures 4.4 s, at 2048 bits
+# 9.8 s and 11 s (medians of 3 runs on 2 cores)
 _MAX_PREC_BITS = 1024
 # a compare range of more N exits 2 before any work: asymptotic rows, which no
 # --to cap bounds, are held until written, and 10 000 of them took 1.7 s
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--prec-bits",
         type=int,
         default=256,
-        help=f"working precision in bits, at most {_MAX_PREC_BITS}; "
+        help=f"working precision in bits, 64 to {_MAX_PREC_BITS}; "
         f"at {_MAX_PREC_BITS} check takes about 3 s and figures 4.5 s",
     )
     sub = top.add_subparsers(dest="command", required=True)
@@ -164,7 +164,6 @@ def _make_out_dir(path: Path):
 def cmd_constants(args) -> int:
     prec = args.prec_bits
     d = args.digits
-    _check_precision(prec)
     if d < 1:
         raise ValueError("--digits must be at least 1")
     carried = math.floor(prec * math.log10(2)) - 1
@@ -191,8 +190,6 @@ def _check_coefficient(args, capped: bool):
 
 def cmd_exact(args) -> int:
     _check_coefficient(args, capped=True)
-    if args.float_exact:
-        _check_precision(args.prec_bits)
     q = exact_coefficients(args.N).coeff(args.l)
     if args.float_exact:
         print(f"C({args.N}, {args.l}) = {mp.nstr(_to_mpf(q, args.prec_bits), 17)}")
@@ -277,7 +274,7 @@ def write_figures(configs, out_dir: Path, emit_svg: bool):
 
 
 def cmd_figures(args) -> int:
-    configs = figure_configs(args.prec_bits)  # rejects the precision before any mkdir
+    configs = figure_configs(args.prec_bits)
     out_dir = args.out if args.out is not None else Path(".")
     _make_out_dir(out_dir)
     paths = write_figures(configs, out_dir, args.format == "svg")
@@ -408,6 +405,7 @@ def cmd_check(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_precision(args.prec_bits)
         if args.prec_bits > _MAX_PREC_BITS:
             raise ValueError(
                 f"--prec-bits must be at most {_MAX_PREC_BITS}, got {args.prec_bits}"

@@ -1,9 +1,8 @@
 """High-precision complex special functions on explicit precision budgets.
 
 Everything the analytic side of the package needs: the dilogarithm on the
-closed unit disk, the Hurwitz zeta function for Re s > 1 (mpmath's zeta(s, q)
-with the package's domain checks and error bound), the negative-order
-polylogarithm Li_{1-s}(e^z) through its Hurwitz-zeta representation, and the
+closed unit disk, the negative-order polylogarithm Li_{1-s}(e^z) through its
+Hurwitz-zeta representation (two values of mpmath's zeta(s, q)), and the
 saddle function
 
     phi(z) = log(1 - e^z) + (Li2(e^z) - pi^2/6) / z
@@ -29,7 +28,6 @@ from mpmath.libmp import from_man_exp, mpc_abs, mpf_lt, mpf_mul
 __all__ = [
     "EvalResult",
     "dilog",
-    "hurwitz_zeta",
     "polylog_jonquiere",
     "phi",
 ]
@@ -248,24 +246,6 @@ def dilog(w, precision: int = 256) -> EvalResult:
         return EvalResult(value=value, error_estimate=_relative_bound(value, precision))
 
 
-def hurwitz_zeta(s, q, precision: int = 256) -> EvalResult:
-    """sum_{n>=0} (q + n)^{-s} for Re s > 1, from mpmath's zeta(s, q).
-
-    The shift q may sit on the imaginary axis (Re q >= 0, q != 0), which
-    is where the polylogarithm representation puts it for real z.
-    """
-    _check_precision(precision)
-    with mp.workprec(precision + _GUARD):
-        s = mp.mpc(s)
-        q = mp.mpc(q)
-        if s.real <= 1:
-            raise ValueError("outside convergence region: Re s <= 1")
-        if q == 0 or q.real < 0:
-            raise ValueError("shift must satisfy Re q >= 0, q != 0")
-        value = mp.zeta(s, q)
-        return EvalResult(value=value, error_estimate=_relative_bound(value, precision))
-
-
 _I_POWERS = (1, 1j, -1, -1j)
 
 
@@ -280,8 +260,7 @@ def polylog_jonquiere(s, z, precision: int = 256) -> EvalResult:
     out of scope.
     """
     _check_precision(precision)
-    work = precision + _GUARD
-    with mp.workprec(work):
+    with mp.workprec(precision + _GUARD):
         s_c = mp.mpc(s)
         s_int = int(mp.nint(s_c.real))
         if s_c != s_int or s_int < 2:
@@ -296,23 +275,14 @@ def polylog_jonquiere(s, z, precision: int = 256) -> EvalResult:
             raise ValueError("outside supported strip: too close to a singular point")
         L = mp.log(-mp.exp(z))  # principal branch
         shift = L / (2j * mp.pi)
-        zp = hurwitz_zeta(s_int, mp.mpf(1) / 2 + shift, precision)
-        zm = hurwitz_zeta(s_int, mp.mpf(1) / 2 - shift, precision)
+        # Re(1/2 +- shift) lies in [0, 1] and the margin keeps both shifts off 0
+        zp = mp.zeta(s_int, mp.mpf(1) / 2 + shift)
+        zm = mp.zeta(s_int, mp.mpf(1) / 2 - shift)
         pref = mp.factorial(s_int - 1) / (2 * mp.pi) ** s_int
-        value = pref * (
-            _I_POWERS[s_int % 4] * zp.value + _I_POWERS[(-s_int) % 4] * zm.value
-        )
-        err = pref * (zp.error_estimate + zm.error_estimate) + abs(value) * mp.mpf(
-            2
-        ) ** (-(precision + 8))
-        return EvalResult(value=value, error_estimate=mp.mpf(err))
-
-
-def _domain_check(z):
-    if z == 0:
-        raise ValueError("singular at z = 0")
-    if z.real > 0:
-        raise ValueError("outside domain: Re z > 0")
+        value = pref * (_I_POWERS[s_int % 4] * zp + _I_POWERS[(-s_int) % 4] * zm)
+        bound = _relative_bound(zp, precision) + _relative_bound(zm, precision)
+        err = pref * bound + abs(value) * mp.mpf(2) ** (-(precision + 8))
+        return EvalResult(value=value, error_estimate=err)
 
 
 def _phi_pair(z, precision):
@@ -321,7 +291,10 @@ def _phi_pair(z, precision):
     _check_precision(precision)
     with mp.workprec(precision + _GUARD):
         z = mp.mpc(z)
-        _domain_check(z)
+        if z == 0:
+            raise ValueError("singular at z = 0")
+        if z.real > 0:
+            raise ValueError("outside domain: Re z > 0")
         ez = mp.exp(z)
         u = 1 - ez
         if u == 0:

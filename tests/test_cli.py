@@ -629,12 +629,12 @@ _EVERY_COMMAND = [
 
 
 class TestPrecisionCap:
-    """--prec-bits above cli._MAX_PREC_BITS exits 2 before any work."""
+    """--prec-bits below 64 or above cli._MAX_PREC_BITS exits 2 before any work."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
         def stub(*args, **kwargs):
-            raise AssertionError("work started above the precision cap")
+            raise AssertionError("work started at a rejected precision")
 
         for name in (
             "saddle_constants",
@@ -657,6 +657,13 @@ class TestPrecisionCap:
         assert captured.err == (
             f"error: --prec-bits must be at most {cli._MAX_PREC_BITS}, got {bits}\n"
         )
+
+    @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: " ".join(argv))
+    def test_below_the_floor_is_a_usage_error(self, capsys, no_work, argv):
+        assert cli.main(["--prec-bits", "63"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision must be at least 64 bits\n"
 
     @pytest.mark.parametrize("argv", [["constants"], ["exact", "--N", "5", "--float-exact"]])
     def test_at_the_cap_prints_as_usual(self, capsys, argv):

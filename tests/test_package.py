@@ -38,7 +38,7 @@ def test_readme_import_block_runs():
 
 # public names that no code in src/radpfd calls, kept on purpose
 UNUSED_IN_SRC = {
-    "polylog_jonquiere": "acceptance test c8 checks it (ROADMAP item 7)",
+    "polylog_jonquiere": "acceptance test c8 checks it; nothing else needs Li_{1-s}(e^z)",
     "oracle_spec": "perfbench sizes its Cauchy-oracle grid with it",
 }
 

@@ -1,6 +1,7 @@
 """Special functions against independent mpmath oracles and identities."""
 
 import cmath
+import hashlib
 import math
 import random
 
@@ -15,7 +16,6 @@ from radpfd.specfun import (
     _phi_pair,
     _series_li2,
     dilog,
-    hurwitz_zeta,
     phi,
     polylog_jonquiere,
 )
@@ -29,6 +29,14 @@ GRID_Z = [mp.mpc(-1), mp.mpc(-2), mp.mpc(-1, 2), mp.mpc(-1, -2), mp.mpc(-0.5, 5)
 # Near the corners of the supported strip: far left, near |Im z| = 8, and
 # close to the singular points 2 pi i and 0.
 CORNER_Z = [mp.mpc(-40, 7.9), mp.mpc(-3, -7.9), mp.mpc(-0.1, 6.1), mp.mpc(-0.07)]
+
+# sha256 of repr([(value._mpc_, error_estimate._mpf_), ...]) of
+# polylog_jonquiere over s = 2..6 and GRID_Z + CORNER_Z, recorded while it
+# still took its two zeta values from a separate public Hurwitz zeta function
+JONQUIERE_DIGESTS = {
+    64: "b46279a49cac7b3bef30b4018ae41ebb891052b4bcab7ab380ce9775ff5ac3de",
+    256: "83a3d6e0ae8d4a9bae65706934a1fc217640bacb3886a64ccfd713b97763c6e3",
+}
 
 
 def disk_points():
@@ -265,50 +273,6 @@ class TestSeriesLi2:
         assert any(perturbed) and not all(perturbed)
 
 
-class TestHurwitzZeta:
-    def test_matches_mpmath_complex_shift(self):
-        with mp.workprec(PREC + 64):
-            for s in (2, 3, 6):
-                for q in (
-                    mp.mpc("0.5", "0.3"),
-                    mp.mpc("0.5", "-4.2"),
-                    mp.mpc(2),
-                    mp.mpc(0, "1.5"),
-                ):
-                    got = hurwitz_zeta(s, q, PREC)
-                    assert abs(got.value - mp.zeta(s, q)) <= got.error_estimate
-
-    @pytest.mark.parametrize("prec", [64, 512])
-    def test_bound_holds_at_the_strip_corners(self, prec):
-        # the two shifts polylog_jonquiere passes for each corner z
-        for z in CORNER_Z:
-            with mp.workprec(prec + 32):
-                shift = mp.log(-mp.exp(z)) / (2j * mp.pi)
-                shifts = (mp.mpf(1) / 2 + shift, mp.mpf(1) / 2 - shift)
-            for s in (2, 3, 6):
-                for q in shifts:
-                    got = hurwitz_zeta(s, q, prec)
-                    with mp.workprec(prec + 96):
-                        assert abs(got.value - mp.zeta(s, q)) <= got.error_estimate
-
-    def test_real_s_on_real_shift(self):
-        with mp.workprec(PREC + 64):
-            got = hurwitz_zeta(mp.mpf("2.5"), mp.mpf("0.75"), PREC).value
-            assert abs(got - mp.zeta(mp.mpf("2.5"), mp.mpf("0.75"))) < mp.mpf(2) ** (
-                -(PREC - 16)
-            )
-
-    def test_rejects_convergence_boundary(self):
-        with pytest.raises(ValueError, match="outside convergence region"):
-            hurwitz_zeta(1, mp.mpf("0.5"), PREC)
-
-    def test_rejects_bad_shift(self):
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2, 0, PREC)
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2, mp.mpc(-1, 1), PREC)
-
-
 class TestJonquiere:
     def test_identity_on_grid(self):
         # Li_{1-s}(e^z) for negative integer order has an elementary
@@ -329,6 +293,15 @@ class TestJonquiere:
                 with mp.workprec(prec + 96):
                     ref = mp.polylog(1 - s, mp.exp(z))
                     assert abs(got.value - ref) <= got.error_estimate
+
+    @pytest.mark.parametrize("prec", sorted(JONQUIERE_DIGESTS))
+    def test_pinned_bits(self, prec):
+        raw = []
+        for s in range(2, 7):
+            for z in GRID_Z + CORNER_Z:
+                got = polylog_jonquiere(s, z, prec)
+                raw.append((got.value._mpc_, got.error_estimate._mpf_))
+        assert hashlib.sha256(repr(raw).encode()).hexdigest() == JONQUIERE_DIGESTS[prec]
 
     def test_geometric_derivative_closed_forms(self):
         # sum k w^k = w/(1-w)^2 at w = 1/e, and sum k^2 w^k at w = e^-2.
