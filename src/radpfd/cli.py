@@ -200,9 +200,9 @@ def cmd_exact(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     _check_coefficient(args, capped=False)
-    av = asymptotic_C(args.l, args.N, saddle_constants(args.prec_bits))
-    print(f"asymptotic C({args.N}, {args.l}) = {mp.nstr(av.main_term, 17)}")
-    print(f"H_{args.l}({args.N}) = {mp.nstr(av.H_value, 17)}")
+    sd = saddle_constants(args.prec_bits)
+    print(f"asymptotic C({args.N}, {args.l}) = {mp.nstr(asymptotic_C(args.l, args.N, sd), 17)}")
+    print(f"H_{args.l}({args.N}) = {mp.nstr(H(args.l, args.N, sd), 17)}")
     return 0
 
 

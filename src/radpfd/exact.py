@@ -49,6 +49,7 @@ from itertools import repeat
 from typing import Iterator
 
 import mpmath as mp
+from mpmath.libmp import from_rational
 
 __all__ = [
     "CoefficientVector",
@@ -176,8 +177,8 @@ def rational_str(q: Fraction) -> str:
 
 
 def _to_mpf(q: Fraction, precision: int) -> mp.mpf:
-    with mp.workprec(precision):
-        return mp.mpf(q.numerator) / q.denominator
+    """q rounded once to nearest at precision bits."""
+    return mp.mp.make_mpf(from_rational(q.numerator, q.denominator, precision, "n"))
 
 
 def decimal_str(q: Fraction) -> str:

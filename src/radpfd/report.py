@@ -118,7 +118,7 @@ def build_rows(cfg: RunConfig):
         q = window[N][l - 1] if window is not None else None
         asym = abs_err = rel_err = None
         if sd is not None:
-            asym = asymptotic_C(l, N, sd).main_term
+            asym = asymptotic_C(l, N, sd)
             if q is not None:
                 exact_val = _to_mpf(q, prec + _GUARD)
                 with mp.workprec(prec + _GUARD):

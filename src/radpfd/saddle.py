@@ -24,7 +24,6 @@ from .specfun import _GUARD, _phi_pair, _split_map
 
 __all__ = [
     "SaddleData",
-    "AsymptoticValue",
     "saddle_constants",
     "H",
     "asymptotic_C",
@@ -51,12 +50,6 @@ class SaddleData:
     p: mp.mpf
     theta: mp.mpf
     precision: int
-
-
-@dataclass(frozen=True)
-class AsymptoticValue:
-    main_term: mp.mpf
-    H_value: mp.mpf
 
 
 def _solve_saddle(precision: int) -> mp.mpc:
@@ -91,10 +84,6 @@ def saddle_constants(precision: int = 256) -> SaddleData:
         a = mp.pi / 2 - mp.arg(ez / (z0 * u)) / 2
         rho = mp.exp(mp.mpc(0, 1) * a)
         radicand = -z0 * u / (rho**2 * ez)
-        if abs(radicand.imag) >= mp.mpf(2) ** (-(precision // 2)):
-            raise ArithmeticError("axis radicand is not real at this precision")
-        if radicand.real <= 0:
-            raise ArithmeticError("axis radicand is not positive")
         alpha = (1 / radicand).real
         theta = mp.arg(u)
         return SaddleData(
@@ -135,14 +124,12 @@ def H(l: int, N, sd: SaddleData) -> mp.mpf:
         return mp.mpf(scale * (K.imag * mp.cos(angle) - K.real * mp.sin(angle)))
 
 
-def asymptotic_C(l: int, N: int, sd: SaddleData) -> AsymptoticValue:
+def asymptotic_C(l: int, N: int, sd: SaddleData) -> mp.mpf:
     """Main term b^N N^{-l-1} H_l(N) of the coefficient asymptotics."""
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
     with mp.workprec(sd.precision + _GUARD):
-        h = H(l, N, sd)
-        main = sd.b ** N * mp.mpf(N) ** (-l - 1) * h
-        return AsymptoticValue(main_term=mp.mpf(main), H_value=h)
+        return sd.b ** N * mp.mpf(N) ** (-l - 1) * H(l, N, sd)
 
 
 def argument_principle_count() -> int:

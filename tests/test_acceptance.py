@@ -156,7 +156,7 @@ def _figure_window(batch_vectors, sd, l=1):
     pairs = []
     for N in range(100, 151):
         exact = _mpf(batch_vectors[N].coeff(l))
-        asym = asymptotic_C(l, N, sd).main_term
+        asym = asymptotic_C(l, N, sd)
         pairs.append((N, exact, asym))
     return pairs
 
@@ -363,7 +363,7 @@ def test_c9_normalized_residual_envelope_decreases(batch_vectors, sd):
     with mp.workprec(PREC):
         for N in range(100, 151):
             exact = _mpf(batch_vectors[N].coeff(1))
-            asym = asymptotic_C(1, N, sd).main_term
+            asym = asymptotic_C(1, N, sd)
             scale = sd.b**N / mp.mpf(N) ** 2
             residual[N] = abs(exact - asym) / scale
         windows = [range(100, 117), range(117, 134), range(134, 151)]

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output shapes, files, exit codes."""
 
 import csv
+import dataclasses
 import errno
 import hashlib
 import json
@@ -536,8 +537,9 @@ class TestPinnedOutputs:
     """sha256 of whole stdout texts, recorded before the saddle and the
     arc derived their fixed inputs (the integral lines: before the arc
     found its own node count; the two-mode compare lines: before
-    build_rows took one row path); the asymptotic column of build_rows is
-    pinned nowhere else."""
+    build_rows took one row path; the disproof and exact lines and the
+    fig3 files: before asymptotic_C returned a plain mpf); the asymptotic
+    column of build_rows is pinned nowhere else."""
 
     THREE_MODES = ["compare", "--from", "1", "--to", "30", "--modes", "exact,asymptotic,integral"]
 
@@ -575,12 +577,35 @@ class TestPinnedOutputs:
                 + ["--modes", "asymptotic,integral"],
                 "f509ef90c0719e99d3c79bad6098b17be5dc0f8038a3baabfd16864c0e665a03",
             ),
+            (
+                ["disproof", "--from", "1", "--to", "80", "--l", "1"],
+                "21f1a65452e95fdb5e4e4929b2645e9ba33d15e8b6857e4e257d870ba9d744f5",
+            ),
+            (
+                ["disproof", "--from", "16", "--to", "80", "--l", "1"],
+                "9d8a6cf00fe13a85812bc54297d386ea883ad9a0347adeabcda25252c43fa387",
+            ),
+            (
+                ["exact", "--N", "88", "--l", "1"],
+                "3b165a14f4b79909a840a67163fc7c0365239bc0e44fcaaec35c9dc5b276767f",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_fig3_file_digests(self, tmp_path):
+        # fig3 over N = 1..40, the window the benchmark's quadrature
+        # workload writes; the CSV is the compare --to 40 text above
+        stem, cfg, nodes = next(c for c in report.figure_configs() if c[0] == "fig3")
+        cfg = dataclasses.replace(cfg, n_from=1, n_to=40)
+        paths = cli.write_figures([(stem, cfg, nodes)], tmp_path, emit_svg=True)
+        assert {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == {
+            ".csv": "8a81212b92af9605bfd0f2ff75126f78105ea6192c007a766cdd7a7a41201356",
+            ".svg": "2f0f122182bf0dedd400b5eb58aa7335b65925691784f3080ecee834f117d407",
+        }
 
 
 class TestCheck:

@@ -119,3 +119,37 @@ def test_private_imports_between_modules_are_listed():
                     f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")
                 )
     assert {stem: names for stem, names in found.items() if names} == PRIVATE_IMPORTS
+
+
+# dataclass fields that no code in src/radpfd reads, kept on purpose
+UNREAD_FIELDS = {
+    "OracleValue.node_doubling_delta": "the oracle's quadrature-error diagnostic, for a run trace",
+    "EvalResult.error_estimate": "the error bound of dilog and polylog_jonquiere, for a run trace",
+}
+
+
+def _is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass in the package but the exempt ones is read
+    as an attribute somewhere in the package's code, and each exempt one is
+    not: a field that every caller ignores restates a value or should go.
+    Reads are matched by attribute name, not by class."""
+    src = Path(radpfd.__file__).resolve().parent
+    fields, read = {}, set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                _is_dataclass_decorator(d) for d in node.decorator_list
+            ):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        fields[f"{node.name}.{stmt.target.id}"] = stmt.target.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert "SaddleData.z0" in fields
+    unread = {name for name, attr in fields.items() if attr not in read}
+    assert unread == UNREAD_FIELDS.keys()

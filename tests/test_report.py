@@ -64,7 +64,7 @@ class TestBuildRows:
         q = small_vectors[5].coeff(2)
         assert row.exact == q
         assert emit_csv([row]).split("\n")[1].split(",")[3] == decimal_str(q)
-        asym = asymptotic_C(2, 5, sd).main_term
+        asym = asymptotic_C(2, 5, sd)
         assert row.asymptotic == asym
         with mp.workprec(PREC + 32):
             exact_f = mp.mpf(q.numerator) / q.denominator

@@ -151,16 +151,18 @@ class TestConstants:
             assert abs(sd.alpha - mp.mpf("0.028")) < mp.mpf("0.0005")
             assert abs(sd.b**sd.p - mp.mpf("8.81")) < mp.mpf("0.02")
 
-    def test_structural_identities(self, sd):
-        with mp.workprec(PREC + 32):
+    @pytest.mark.parametrize("prec", [64, PREC, 1024])
+    def test_structural_identities(self, prec):
+        sd = saddle_constants(prec)
+        with mp.workprec(prec + 32):
             u = 1 - mp.exp(sd.z0)
-            assert abs(abs(sd.rho) - 1) < mp.mpf(2) ** (-(PREC - 16))
+            assert abs(abs(sd.rho) - 1) < mp.mpf(2) ** (-(prec - 16))
             assert abs(sd.b - 1 / abs(u)) == 0
-            assert abs(sd.p - 2 * mp.pi / abs(sd.theta)) < mp.mpf(2) ** (-(PREC - 16))
+            assert abs(sd.p - 2 * mp.pi / abs(sd.theta)) < mp.mpf(2) ** (-(prec - 16))
             assert sd.alpha > 0
             radicand = -sd.z0 * u / (sd.rho**2 * mp.exp(sd.z0))
-            assert abs(radicand.imag) < mp.mpf(2) ** (-(PREC // 2))
-            assert abs(radicand.real - 1 / sd.alpha) < mp.mpf(2) ** (-(PREC - 24))
+            assert abs(radicand.imag) < mp.mpf(2) ** (-(prec // 2))
+            assert abs(radicand.real - 1 / sd.alpha) < mp.mpf(2) ** (-(prec - 24))
 
 
 class TestH:
@@ -249,15 +251,15 @@ class TestAmplitudeCache:
 class TestAsymptotic:
     def test_main_term_composition(self, sd):
         with mp.workprec(PREC + 32):
-            av = asymptotic_C(1, 100, sd)
-            assert av.main_term == sd.b ** 100 * mp.mpf(100) ** -2 * av.H_value
+            main = asymptotic_C(1, 100, sd)
+            assert main == sd.b ** 100 * mp.mpf(100) ** -2 * H(1, 100, sd)
 
     def test_saddle_integral_cross_check(self, sd):
         # The same number written as the imaginary part of a single
         # complex product; agreement is algebra, not approximation.
         with mp.workprec(PREC + 32):
             for l, N in ((1, 100), (2, 117), (3, 86)):
-                av = asymptotic_C(l, N, sd)
+                main = asymptotic_C(l, N, sd)
                 u = 1 - mp.exp(sd.z0)
                 K = sd.rho * (-sd.z0) ** (l - mp.mpf(1) / 2) / mp.sqrt(sd.alpha * u)
                 sign = 1 if l % 2 == 1 else -1
@@ -266,9 +268,7 @@ class TestAsymptotic:
                     / (mp.pi * mp.mpf(N) ** l)
                     * (K * u ** (-N) / N).imag
                 )
-                assert abs(av.main_term - cross) < mp.mpf(2) ** (-(PREC - 48)) * max(
-                    1, abs(av.main_term)
-                )
+                assert abs(main - cross) < mp.mpf(2) ** (-(PREC - 48)) * max(1, abs(main))
 
     def test_l_dependence_is_one_over_n_times_h_ratio(self, sd):
         # asym(2)/asym(1) = H_2/(N H_1): check the cleared form, which
@@ -277,8 +277,8 @@ class TestAsymptotic:
             for N in (100, 113, 150):
                 a1 = asymptotic_C(1, N, sd)
                 a2 = asymptotic_C(2, N, sd)
-                lhs = a2.main_term * N * a1.H_value
-                rhs = a1.main_term * a2.H_value
+                lhs = a2 * N * H(1, N, sd)
+                rhs = a1 * H(2, N, sd)
                 assert abs(lhs - rhs) < mp.mpf(2) ** (-(PREC - 64)) * max(
                     abs(lhs), abs(rhs), 1
                 )
