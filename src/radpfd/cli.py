@@ -247,29 +247,31 @@ def write_figures(configs, out_dir: Path, emit_svg: bool):
     returns paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for stem, cfg, _ in configs:
-        rows = build_rows(cfg)
-        path = out_dir / f"{stem}.csv"
-        path.write_text(emit_csv(rows))
-        written.append(path)
-        if emit_svg:
-            other = "asymptotic" if "asymptotic" in cfg.modes else "integral"
-            exact_pts = [
-                (r.N, mp.mpf(decimal_str(r.exact))) for r in rows if r.exact is not None
-            ]
-            other_pts = [
-                (r.N, getattr(r, other)) for r in rows if getattr(r, other) is not None
-            ]
-            svg_path = out_dir / f"{stem}.svg"
-            svg_path.write_text(
-                line_chart(
-                    [exact_pts, other_pts],
-                    ["exact", other],
-                    f"C(N, {cfg.l}): exact vs {other}, N = {cfg.n_from}..{cfg.n_to}",
+    try:
+        for stem, cfg, _ in configs:
+            rows = build_rows(cfg)
+            path = out_dir / f"{stem}.csv"
+            path.write_text(emit_csv(rows))
+            written.append(path)
+            if emit_svg:
+                other = "asymptotic" if "asymptotic" in cfg.modes else "integral"
+                exact_pts = [
+                    (r.N, mp.mpf(decimal_str(r.exact))) for r in rows if r.exact is not None
+                ]
+                other_pts = [
+                    (r.N, getattr(r, other)) for r in rows if getattr(r, other) is not None
+                ]
+                svg_path = out_dir / f"{stem}.svg"
+                svg_path.write_text(
+                    line_chart(
+                        [exact_pts, other_pts],
+                        ["exact", other],
+                        f"C(N, {cfg.l}): exact vs {other}, N = {cfg.n_from}..{cfg.n_to}",
+                    )
                 )
-            )
-            written.append(svg_path)
-    _exact_window.cache_clear()  # the configs share windows; later callers do not
+                written.append(svg_path)
+    finally:
+        _exact_window.cache_clear()  # the configs share windows; later callers do not
     return written
 
 

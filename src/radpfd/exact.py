@@ -16,7 +16,7 @@ for m = 0, 1, 2, ...; q'[m] depends only on q[0..m], so truncation never
 corrupts the coefficients that are kept.  As a_j has integer
 coefficients, coefficient_range runs it on integer numerators over one
 common denominator (fraction-free, as in Bareiss's elimination), from
-j = 1, and builds Fractions only for the rows it yields.
+j = 1.
 
 Dividing by a_1..a_N costs O(N^3) steps.  For one N,
 exact_coefficients starts from the product itself instead, in O(N^2)
@@ -37,6 +37,10 @@ A_m = W m! [t^m] log(...) are integers, and f_m = m! [t^m] prod obeys
 run on integer numerators over one denominator that grows only where a
 division by W is not exact.  The two routes share no arithmetic, so
 each checks the other.
+
+Both routes hand over each row as integer numerators over one
+denominator, reduced by one gcd, in a CoefficientVector; a Fraction is
+built only for a coefficient that is read.
 """
 
 from __future__ import annotations
@@ -62,24 +66,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """All principal-part coefficients C(N, l), l = 1..N, for one N."""
+    """All principal-part coefficients C(N, l), l = 1..N, for one N, as
+    integer numerators over one positive denominator in lowest terms, so
+    that dataclass equality is value equality."""
 
     N: int
-    values: tuple  # values[l-1] = C(N, l)
+    numerators: tuple  # numerators[l-1] = denominator * C(N, l)
+    denominator: int
 
     def __post_init__(self):
-        if len(self.values) != self.N:
+        if len(self.numerators) != self.N:
             raise ValueError("need exactly N coefficients")
+        if self.denominator < 1 or math.gcd(self.denominator, *self.numerators) != 1:
+            raise ValueError("need a positive denominator in lowest terms")
+
+    @property
+    def values(self) -> tuple:
+        """(C(N, 1), ..., C(N, N)) as Fractions, built on each read."""
+        return tuple(Fraction(p, self.denominator) for p in self.numerators)
 
     def coeff(self, l: int) -> Fraction:
         if not 1 <= l <= self.N:
             raise ValueError(f"l must be in 1..{self.N}, got {l}")
-        return self.values[l - 1]
+        return Fraction(self.numerators[l - 1], self.denominator)
 
 
-def _logexp(n: int) -> list:
-    """prod_{j<=n} 1/a_j(t) truncated at t^(n-1), as Fractions, from the
-    power sums of 1..n (the log/exp start of the module docstring)."""
+def _logexp(n: int) -> tuple:
+    """prod_{j<=n} 1/a_j(t) truncated at t^(n-1), as integer numerators
+    over one denominator, from the power sums of 1..n (the log/exp start
+    of the module docstring)."""
     # w[k] = k! [s^k] log(n! prod 1/a_j); zero at odd k >= 3
     w = [Fraction(0)] * n
     if n > 1:
@@ -114,20 +129,26 @@ def _logexp(n: int) -> list:
             D *= W // g
             quot = acc // g
         F.append(quot)
-    return [Fraction(x, D * math.factorial(m)) for m, x in enumerate(F)]
+    # [t^m] prod = F[m] / (D m!) = F[m] ((n-1)!/m!) / (D (n-1)!)
+    last = math.factorial(n - 1)
+    return [x * (last // math.factorial(m)) for m, x in enumerate(F)], D * last
 
 
-def _row(N: int, q) -> tuple:
-    """(C(N, 1), ..., C(N, N)) from q = prod_{j<=N} 1/a_j truncated at
-    order N or beyond: C(N, l) = (-1)^N q[N-l]."""
-    return tuple(-q[N - l] if N % 2 else q[N - l] for l in range(1, N + 1))
+def _vector(N: int, P, D: int) -> CoefficientVector:
+    """The CoefficientVector of N from q = prod_{j<=N} 1/a_j held as
+    q[m] = P[m] / D, D > 0, for m = 0..N-1 at least:
+    C(N, l) = (-1)^N q[N-l], reduced by one gcd."""
+    row = P[N - 1 :: -1]  # P[N-l] for l = 1..N
+    g = math.gcd(D, *row)
+    sign = -g if N % 2 else g
+    return CoefficientVector(N, tuple(p // sign for p in row), D // g)
 
 
 def exact_coefficients(N: int) -> CoefficientVector:
     """Exact C(N, l) for l = 1..N, from the log/exp start alone."""
     if N < 1:
         raise ValueError("undefined: empty product has no pole")
-    return CoefficientVector(N, _row(N, _logexp(N)))
+    return _vector(N, *_logexp(N))
 
 
 def coefficient_range(n_from: int, n_to: int) -> Iterator[CoefficientVector]:
@@ -151,12 +172,13 @@ def coefficient_range(n_from: int, n_to: int) -> Iterator[CoefficientVector]:
     P = [1] + [0] * (n_to - 1)
     D = 1
     for j in range(1, n_to + 1):
-        binoms = [math.comb(j, k + 1) for k in range(1, j)]
+        rb = [math.comb(j, i) for i in range(j, 1, -1)]  # binom(j, j), ..., binom(j, 2)
         scale = 1  # j^e
         new = []
         for m, p in enumerate(P):
-            tail = reversed(new[max(m - j + 1, 0) : m])  # P'[m-1], ..., P'[m-k]
-            acc = scale * p - sum(map(operator.mul, binoms, tail))
+            # P'[m-k] for k = min(m, j-1), ..., 1 against binom(j, k+1)
+            tail = map(operator.mul, rb[max(j - 1 - m, 0) :], new[max(m - j + 1, 0) :])
+            acc = scale * p - sum(tail)
             quot, rem = divmod(acc, j)
             if rem:  # e + 1 multiplies every P' by j, so P'[m] becomes acc
                 new = [j * x for x in new]
@@ -167,7 +189,7 @@ def coefficient_range(n_from: int, n_to: int) -> Iterator[CoefficientVector]:
         g = math.gcd(D, *new)
         P, D = [p // g for p in new], D // g
         if j >= n_from:
-            yield CoefficientVector(j, _row(j, [Fraction(p, D) for p in P[:j]]))
+            yield _vector(j, P, D)
 
 
 def rational_str(q: Fraction) -> str:

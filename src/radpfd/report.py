@@ -88,11 +88,11 @@ class DisproofReport:
 
 @functools.lru_cache(maxsize=1)
 def _exact_window(n_from: int, n_to: int):
-    """{N: (C(N, 1), ..., C(N, N))} over n_from..n_to from one incremental
+    """{N: CoefficientVector of N} over n_from..n_to from one incremental
     sweep.  The latest window is kept, so figures whose configs share an
     exact window (fig1 and fig2) sweep it once; cli.write_figures drops it
     when it is done."""
-    return {vec.N: vec.values for vec in coefficient_range(n_from, n_to)}
+    return {vec.N: vec for vec in coefficient_range(n_from, n_to)}
 
 
 def build_rows(cfg: RunConfig):
@@ -115,7 +115,7 @@ def build_rows(cfg: RunConfig):
     integrals = _integrals(l, Ns, prec) if "integral" in cfg.modes else [None] * len(Ns)
 
     for N, integ in zip(Ns, integrals):
-        q = window[N][l - 1] if window is not None else None
+        q = window[N].coeff(l) if window is not None else None
         asym = abs_err = rel_err = None
         if sd is not None:
             asym = asymptotic_C(l, N, sd)

@@ -29,7 +29,7 @@ def batch_vectors():
     """Exact coefficient vectors for N = 80..150.
 
     The figure and peak analyses read this window.  One sweep per
-    session divides by a_j for j = 1..150, about 0.7 s on 2 vCPUs of an
+    session divides by a_j for j = 1..150, about 0.5 s on 2 vCPUs of an
     Intel Xeon; c4 asserts its wall time.
     """
     start = time.monotonic()

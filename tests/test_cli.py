@@ -6,7 +6,6 @@ import errno
 import hashlib
 import json
 import os
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -147,7 +146,7 @@ class TestExact:
 
         def stub(N):
             calls.append(N)
-            return CoefficientVector(N, (Fraction(1, 2),) * N)
+            return CoefficientVector(N, (1,) * N, 2)
 
         monkeypatch.setattr(cli, "exact_coefficients", stub)
         assert cli.main(["exact", "--N", "500"]) == 0
@@ -423,6 +422,23 @@ class TestFigures:
         report._exact_window.cache_clear()
         assert cli.main(["figures", "--out", str(tmp_path)]) == 0
         assert calls == [(3, 8)]
+        assert report._exact_window.cache_info().currsize == 0
+
+    def test_a_figure_that_raises_still_drops_the_window(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.build_rows
+
+        def second_raises(cfg):
+            calls.append(cfg)
+            if len(calls) == 2:
+                raise ArithmeticError("arc nodes did not converge")
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "build_rows", second_raises)
+        report._exact_window.cache_clear()
+        with pytest.raises(ArithmeticError):
+            cli.write_figures(_tiny_figures(64), tmp_path, False)
+        assert len(calls) == 2
         assert report._exact_window.cache_info().currsize == 0
 
     def test_out_at_a_file_exits_2_before_any_dataset(self, capsys, monkeypatch, tmp_path):

@@ -57,6 +57,18 @@ class TestCoefficients:
         assert isinstance(vec, CoefficientVector)
         assert len(vec.values) == 12
 
+    def test_vectors_are_in_lowest_terms(self, small_vectors):
+        # one reduced form per value, so equal vectors compare equal as dataclasses
+        vectors = list(small_vectors.values()) + [exact_coefficients(N) for N in (1, 2, 88, 150)]
+        for vec in vectors:
+            assert vec.denominator > 0, vec.N
+            assert math.gcd(vec.denominator, *vec.numerators) == 1, vec.N
+
+    @pytest.mark.parametrize("numerators, denominator", [((2, -4), 6), ((1, 2), 0), ((-1, 2), -3)])
+    def test_vector_rejects_other_than_lowest_terms(self, numerators, denominator):
+        with pytest.raises(ValueError, match="lowest terms"):
+            CoefficientVector(2, numerators, denominator)
+
     # sha256 over "N l p/q" lines of every C(N, l), recorded from the
     # earlier engine that multiplied reciprocal unit series
     SMALL_SHA256 = "1a8a364c5b44d611dab45300d83c59fa84ae27bd6a3ec2a42a15a2bcb33872c6"

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from radpfd import cli, contour, report
+from radpfd import cli, contour, exact, report
 from radpfd.contour import integral_approx_C
 from radpfd.exact import decimal_str
 from radpfd.report import (
@@ -25,6 +25,20 @@ from radpfd.report import (
 from radpfd.saddle import asymptotic_C
 
 PREC = 256
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """The arguments of every Fraction that radpfd.exact builds."""
+    built = []
+    real = exact.Fraction
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exact, "Fraction", counting)
+    return built
 
 
 class TestRunConfig:
@@ -145,6 +159,14 @@ class TestBuildRows:
         assert calls == [(5, 9)]
         assert [r.exact for r in one] == [small_vectors[N].coeff(1) for N in range(5, 10)]
         assert [r.exact for r in two] == [small_vectors[N].coeff(2) for N in range(5, 10)]
+
+    def test_exact_rows_build_one_fraction_each(self, fractions_built):
+        # the window keeps integer numerators; a row builds only the value it reads
+        report._exact_window.cache_clear()
+        rows = build_rows(RunConfig(PREC, 1, 40, 1, frozenset({"exact"})))
+        report._exact_window.cache_clear()
+        assert len(rows) == 40
+        assert len(fractions_built) <= len(rows)
 
 
 def _serial_map(fn, items):
@@ -316,6 +338,11 @@ class TestMagnitudeSeries:
 
     def test_values_are_nonnegative(self):
         assert all(v >= 0 for _, v in magnitude_series(1, 12, precision=PREC))
+
+    def test_builds_one_fraction_per_n(self, fractions_built):
+        series = magnitude_series(1, 40)
+        assert len(series) == 40
+        assert len(fractions_built) <= len(series)
 
 
 class TestFigureConfigs:
