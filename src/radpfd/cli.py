@@ -295,8 +295,8 @@ def cmd_disproof(args) -> int:
     if args.n_to - max(args.n_from, args.l) < 2 * sd.p:
         raise ValueError("range too short: need at least two oscillation periods")
     series = magnitude_series(args.n_from, args.n_to, args.l, prec)
-    rep = analyze_divergence(series, b=sd.b, p=sd.p, l=args.l)
-    print(f"peak analysis: l = {rep.l}, N = {rep.n_from}..{rep.n_to}")
+    rep = analyze_divergence(series, b=sd.b, p=sd.p)
+    print(f"peak analysis: l = {args.l}, N = {series[0][0]}..{series[-1][0]}")
     print("peaks (N, |C|):")
     for n, mag in rep.peaks:
         print(f"  {n:4d}  {mp.nstr(mag, 8)}")

@@ -61,6 +61,8 @@ class RunConfig:
     modes: frozenset = frozenset({"exact", "asymptotic"})
 
     def __post_init__(self):
+        if self.n_from < 1:
+            raise ValueError("n_from must be a positive integer")
         if self.n_from > self.n_to:
             raise ValueError("empty range: n_from > n_to")
         _check_precision(self.precision_bits)
@@ -75,9 +77,6 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class DisproofReport:
-    l: int
-    n_from: int
-    n_to: int
     peaks: tuple  # (N, magnitude) pairs
     spacings: tuple
     ratios: tuple
@@ -174,8 +173,8 @@ def find_peaks(series):
     return peaks
 
 
-def analyze_divergence(series, b, p, l: int = 1) -> DisproofReport:
-    """Peak statistics and a divergence verdict for a magnitude series.
+def analyze_divergence(series, b, p) -> DisproofReport:
+    """Peak statistics and a divergence verdict for a series [(N, |C|), ...].
 
     The asymptotics predicts one extremum pattern repeating every p with
     magnitudes scaled by b^p each period, i.e. growth b per unit N.  The
@@ -183,7 +182,8 @@ def analyze_divergence(series, b, p, l: int = 1) -> DisproofReport:
     exceeds b^(span/2), half the predicted exponent: enough margin for
     the slowly converging amplitude while still rejecting any bounded
     sequence.  Fewer than two peaks, or shrinking peaks, give "no
-    divergence detected".
+    divergence detected".  The series must span at least two periods;
+    nothing here reads l, so the caller reports l and the range.
     """
     if not series:
         raise ValueError("empty series")
@@ -208,9 +208,6 @@ def analyze_divergence(series, b, p, l: int = 1) -> DisproofReport:
             if growth > threshold:
                 verdict = "diverges"
     return DisproofReport(
-        l=l,
-        n_from=n_from,
-        n_to=n_to,
         peaks=tuple(peaks),
         spacings=spacings,
         ratios=ratios,
@@ -221,12 +218,10 @@ def analyze_divergence(series, b, p, l: int = 1) -> DisproofReport:
 
 
 def magnitude_series(n_from: int, n_to: int, l: int = 1, precision: int = 256):
-    """[(N, |C(N, l)|), ...] over a range, one incremental sweep."""
-    out = []
-    with mp.workprec(precision):
-        for vec in coefficient_range(max(n_from, l), n_to):
-            out.append((vec.N, abs(_to_mpf(vec.coeff(l), precision))))
-    return out
+    """[(N, |C(N, l)|), ...] over max(n_from, l)..n_to, one incremental
+    sweep; each magnitude is rounded once, to nearest, at precision bits."""
+    vectors = coefficient_range(max(n_from, l), n_to)
+    return [(vec.N, _to_mpf(abs(vec.coeff(l)), precision)) for vec in vectors]
 
 
 def figure_configs(precision: int = 256):

@@ -231,6 +231,12 @@ class TestAsymptoticAndIntegral:
         want = mp.mpf(q.numerator) / q.denominator
         assert abs(got - want) < abs(want) * mp.mpf("0.2")
 
+    def test_integral_at_64_bits_raises_the_arc_precision_with_n(self, capsys):
+        # 96 working bits, 64 + 32 guard, leave the ladder unconverged at
+        # N = 220 (doubling delta 0.00323 at 2048 nodes); the arc needs 152
+        assert cli.main(["--prec-bits", "64", "integral", "--N", "220"]) == 0
+        assert capsys.readouterr().out == "integral C(220, 1) = 163.6653086823416\n"
+
 
 def _unswept(*args):
     raise AssertionError("exact sweep started above the cap")

@@ -431,6 +431,18 @@ class TestNodeLadder:
         with mp.workprec(PREC):
             assert abs(got - exact) < mp.mpf("1e-3") * abs(exact)
 
+    def test_64_bits_at_200_give_the_256_bit_value(self):
+        # 96 working bits pass the doubling test on 32.29949..., 5.1e-5 off
+        # the converged 32.30115...; the rule asks for 144
+        got = integral_approx_C(1, 200, 64)
+        ref = integral_approx_C(1, 200, PREC)
+        with mp.workprec(PREC):
+            assert abs(got - ref) < mp.mpf("1e-12") * abs(ref)
+
+    def test_128_bits_at_450_work_at_the_256_bit_precision(self):
+        # 64 + ceil(0.4 * 450) = 244 working bits: 128 + 32 is raised by 128
+        assert integral_approx_C(1, 450, 128)._mpf_ == integral_approx_C(1, 450, PREC)._mpf_
+
     def test_raises_when_the_last_doubling_disagrees(self, monkeypatch):
         # 64 and 128 nodes differ by 486 relative at N = 175; 128 and 256 agree
         monkeypatch.setattr(contour, "_MAX_PANELS", 4)

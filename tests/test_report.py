@@ -49,6 +49,9 @@ class TestRunConfig:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError, match="empty range"):
             RunConfig(n_from=5, n_to=4)
+        for n_from in (0, -2):
+            with pytest.raises(ValueError, match="n_from must be a positive"):
+                RunConfig(n_from=n_from, n_to=2)
 
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError, match="64 bits"):
@@ -319,10 +322,6 @@ class TestAnalyzeDivergence:
             analyze_divergence(_spiky(1.1, n_to=15), b=1.05, p=10)
         with pytest.raises(ValueError, match="empty"):
             analyze_divergence([], b=1.05, p=10)
-
-    def test_range_endpoints_recorded(self):
-        report = analyze_divergence(_spiky(1.1), b=1.05, p=10, l=2)
-        assert (report.l, report.n_from, report.n_to) == (2, 0, 45)
 
 
 class TestMagnitudeSeries:
