@@ -35,11 +35,13 @@ Li2 samples of the monotonicity witness) are built by specfun._split_map:
 on hosts with 2 or more usable CPUs it forks one child, which computes
 every other node at the same working precision, so the tables are the
 bits of the serial loop.  The arc integrals of a sweep over N
-(_integrals, which report.build_rows uses) run the first N here, so its
-tables are built once and split, and then split the other N the same
-way; the child inherits the warm tables.  The arc sum and the oracle's
-products run on raw mpmath tuples with the libmpc calls of the plain
-mpc expressions, so they too are the same bits.  The package is still
+(_integrals, which report.build_rows uses) run the largest N here, so
+its tables are built once and split, and then split the other N the
+same way; the child inherits the warm tables.  The arc sum, the oracle's
+products and the Legendre recurrence keep each part as a signed
+Python-int mantissa and an exponent, and round with specfun._round,
+_add and _div where the plain mpf and mpc expressions round, so they too
+are the same bits.  The package is still
 not thread-safe and must not be used from threads: fork and mp.workprec
 are both process-wide, and every routine sets mpmath's global working
 precision, so concurrent calls corrupt each other's arithmetic.
@@ -53,26 +55,19 @@ import operator
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import (
-    fone,
-    from_int,
-    mpc_add,
-    mpc_add_mpf,
-    mpc_div_mpf,
-    mpc_exp,
-    mpc_mul,
-    mpc_mul_int,
-    mpc_mul_mpf,
-    mpc_one,
-    mpc_sub,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_sub,
-)
+from mpmath.libmp import from_int, fzero, mpc_exp
 
-from .specfun import _GUARD, _check_precision, _dilog_value, _pi2_over_6, _split_map, dilog
+from .specfun import (
+    _GUARD,
+    _add,
+    _check_precision,
+    _dilog_value,
+    _div,
+    _pi2_over_6,
+    _round,
+    _split_map,
+    dilog,
+)
 
 __all__ = [
     "QuadratureSpec",
@@ -170,21 +165,32 @@ def _pairwise_sum(values, add=operator.add):
     return add(_pairwise_sum(values[:half], add), _pairwise_sum(values[half:], add))
 
 
+def _mantissas(*raw):
+    """(signed mantissa, exponent) of each raw mpf tuple."""
+    return [(-m if sign else m, e) for sign, m, e, _ in raw]
+
+
+def _raw(m, e):
+    """The raw mpf tuple of m * 2^e, m odd or 0."""
+    return (int(m < 0), abs(m), e, abs(m).bit_length()) if m else fzero
+
+
 def _legendre_p(x):
     """P_n(x) and P_n'(x), n = _PANEL, by the three-term recurrence at the
-    caller's working precision.  The loop runs on raw mpf tuples, with the
-    libmpf calls that the mpf expressions ((2j-1) x p1 - (j-1) p0) / j and
-    n (x p1 - p0) / (x x - 1) make, so the results are the same bits."""
-    prec, rnd = mp.mp._prec_rounding
-    x = x._mpf_
-    p0, p1 = fone, x
+    caller's working precision.  The loop keeps p0 and p1 as signed
+    Python-int mantissas and exponents and rounds where the mpf expression
+    ((2j-1) x p1 - (j-1) p0) / j rounds (specfun._round, _add, _div), so
+    P_n and the mpf expression n (x p1 - p0) / (x x - 1) are the bits of
+    the plain recurrence."""
+    prec = mp.mp.prec
+    [(xm, xe)] = _mantissas(x._mpf_)
+    am, ae, bm, be = 1, 0, xm, xe  # p0, p1
     for j in range(2, _PANEL + 1):
-        t = mpf_mul(mpf_mul_int(x, 2 * j - 1, prec, rnd), p1, prec, rnd)
-        t = mpf_sub(t, mpf_mul_int(p0, j - 1, prec, rnd), prec, rnd)
-        p0, p1 = p1, mpf_div(t, from_int(j), prec, rnd)
-    dp = mpf_mul_int(mpf_sub(mpf_mul(x, p1, prec, rnd), p0, prec, rnd), _PANEL, prec, rnd)
-    dp = mpf_div(dp, mpf_sub(mpf_mul(x, x, prec, rnd), fone, prec, rnd), prec, rnd)
-    return mp.mp.make_mpf(p1), mp.mp.make_mpf(dp)
+        tm, te = _round(xm * (2 * j - 1), xe, prec)
+        tm, te = _add(*_round(tm * bm, te + be, prec), *_round(-am * (j - 1), ae, prec), prec)
+        am, ae, (bm, be) = bm, be, _div(tm, te, *from_int(j)[1:3], prec)  # j's odd part, its power of 2
+    p0, p1 = mp.mp.make_mpf(_raw(am, ae)), mp.mp.make_mpf(_raw(bm, be))
+    return p1, _PANEL * (x * p1 - p0) / (x * x - 1)
 
 
 @functools.cache
@@ -242,40 +248,50 @@ def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
     half arc, or the complex value over the whole left arc, whose
     imaginary part is quadrature noise (the true value is real).
 
-    The loop runs on raw mpc tuples with the libmpc calls that the mpc
-    expression exp((l - 1/2) log(-z) + z/N + N v) * invsq * wdz makes, and
-    sums the terms pairwise, so the value is the same bits.  The half arc
-    needs only the imaginary part of the sum, so it forms only the
-    imaginary part of each product with wdz and adds those."""
+    The loop keeps each real and imaginary part as a signed Python-int
+    mantissa and an exponent, and rounds where the mpc expression
+    exp((l - 1/2) log(-z) + z/N + N v) * invsq * wdz and the pairwise sum
+    of the terms round (specfun._round, _add, _div; the division by N
+    takes N's odd part and its power of two); only the exponential is a
+    libmpc call, mpc_exp on the rounded exponent.  So the value is the same
+    bits.  The half arc needs only the imaginary part of the sum, so it
+    forms only the imaginary part of each product with wdz and adds those."""
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
     _check_precision(precision)
     data = _arc_nodes(panels, precision, full)
     with mp.workprec(precision + _GUARD):
         prec, rnd = mp.mp._prec_rounding
-        half = (l - mp.mpf(1) / 2)._mpf_
-        n = from_int(N)
-        terms = []
+        n, nz = from_int(N)[1:3]  # N = n * 2^nz, n odd
+        h = 2 * l - 1  # l - 1/2 = h * 2^-1
+        re_terms, im_terms = [], []
         for z, wdz, logmz, invsq, v in data:
-            t = mpc_add(
-                mpc_mul_mpf(logmz._mpc_, half, prec, rnd),
-                mpc_div_mpf(z._mpc_, n, prec, rnd),
-                prec,
-                rnd,
+            (zr, zre), (zi, zie), (wr, wre), (wi, wie), (gr, gre), (gi, gie) = _mantissas(
+                *z._mpc_, *wdz._mpc_, *logmz._mpc_
             )
-            t = mpc_add(t, mpc_mul_int(v._mpc_, N, prec, rnd), prec, rnd)
-            t = mpc_mul(mpc_exp(t, prec, rnd), invsq._mpc_, prec, rnd)
+            (sr, sre), (si, sie), (vr, vre), (vi, vie) = _mantissas(*invsq._mpc_, *v._mpc_)
+            # each part of (l - 1/2) log(-z) + z/N + N v, rounded as mpc_mul_mpf,
+            # mpc_div_mpf, mpc_add and mpc_mul_int round it
+            ar, are = _add(*_round(gr * h, gre - 1, prec), *_div(zr, zre, n, nz, prec), prec)
+            ai, aie = _add(*_round(gi * h, gie - 1, prec), *_div(zi, zie, n, nz, prec), prec)
+            ar, are = _add(ar, are, *_round(vr * N, vre, prec), prec)
+            ai, aie = _add(ai, aie, *_round(vi * N, vie, prec), prec)
+            (er, ere), (ei, eie) = _mantissas(*mpc_exp((_raw(ar, are), _raw(ai, aie)), prec, rnd))
+            tr, tre = _add(er * sr, ere + sre, -ei * si, eie + sie, prec)
+            ti, tie = _add(er * si, ere + sie, ei * sr, eie + sre, prec)
+            im_terms.append(_add(tr * wi, tre + wie, ti * wr, tie + wre, prec))
             if full:
-                terms.append(mpc_mul(t, wdz._mpc_, prec, rnd))
-            else:
-                (a, b), (c, d) = t, wdz._mpc_
-                terms.append(mpf_add(mpf_mul(a, d), mpf_mul(b, c), prec, rnd))
+                re_terms.append(_add(tr * wr, tre + wre, -ti * wi, tie + wie, prec))
+
+        def total(terms):
+            return _raw(*_pairwise_sum(terms, lambda x, y: _add(*x, *y, prec)))
+
         sign = 1 if l % 2 == 1 else -1
         norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
         if full:
-            A = mp.mp.make_mpc(_pairwise_sum(terms, lambda x, y: mpc_add(x, y, prec, rnd)))
+            A = mp.mp.make_mpc((total(re_terms), total(im_terms)))
             return sign * A / (mp.mpc(0, 1) * norm)
-        imag = mp.mp.make_mpf(_pairwise_sum(terms, lambda x, y: mpf_add(x, y, prec, rnd)))
+        imag = mp.mp.make_mpf(total(im_terms))
         return mp.mpf(sign * 2 * imag / norm)
 
 
@@ -330,14 +346,16 @@ def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
 def _integrals(l: int, Ns, precision: int):
     """[integral_approx_C(l, N, precision) for N in Ns], Ns nonempty.
 
-    The first N runs here, so the node tables of its ladder are built
-    once, each split across the CPUs; specfun._split_map then splits the
-    other N, and a forked child inherits the warm tables.  An N whose
-    ladder fails raises here; with several failing N, which one the
-    error names may differ from the serial loop."""
-    first, *rest = Ns
-    head = integral_approx_C(l, first, precision)
-    return [head] + _split_map(lambda N: integral_approx_C(l, N, precision), rest)
+    The largest N runs here first, so the node tables of the longest
+    ladder are built once, each split across the CPUs; specfun._split_map
+    then splits the other N, and a forked child inherits the warm tables.
+    An N whose ladder fails raises here; with several failing N, which one
+    the error names may differ from the serial loop."""
+    Ns = list(Ns)
+    top = Ns.index(max(Ns))
+    head = integral_approx_C(l, Ns[top], precision)
+    rest = _split_map(lambda N: integral_approx_C(l, N, precision), Ns[:top] + Ns[top + 1 :])
+    return rest[:top] + [head] + rest[top:]
 
 
 @functools.lru_cache(maxsize=1)
@@ -345,23 +363,32 @@ def _oracle_nodes(N: int, spec: QuadratureSpec):
     """The 2M trapezoid nodes x = r e^{i pi k / M} with prod_{j<=N} (1 - (1+x)^j),
     independent of l.  Only the latest (N, spec) is kept, so a sweep over l
     at one N computes them once and memory stays flat over many N.  The
-    product loop runs on raw mpc tuples with the libmpc calls that the mpc
-    expressions 1 + x, 1 - y^j and prod * (1 - y^j) make, so the products
-    are the same bits."""
+    product loop keeps each part as a signed Python-int mantissa and an
+    exponent and rounds where the mpc expressions 1 + x, 1 - y^j,
+    prod * (1 - y^j) and y^j * y round (each product: four exact products
+    and two specfun._add), so the products are the same bits."""
     M = spec.nodes
     with mp.workprec(spec.precision + _GUARD):
         r = mp.mpf(spec.radius)
-        prec, rnd = mp.mp._prec_rounding
+        prec = mp.mp.prec
 
         def node(k):
             x = r * mp.expjpi(mp.mpf(k) / M)  # e^{i pi k / M}, 2M-th roots
-            y = mpc_add_mpf(x._mpc_, fone, prec, rnd)
-            yj = y
-            prod = mpc_one
+            (am, ae), (bm, be) = _mantissas(*x._mpc_)
+            am, ae = _add(am, ae, 1, 0, prec)  # y = 1 + x
+            cm, ce, dm, de = am, ae, bm, be  # y^j
+            pm, pe, qm, qe = 1, 0, 0, 0  # the product
             for _ in range(N):
-                prod = mpc_mul(prod, mpc_sub(mpc_one, yj, prec, rnd), prec, rnd)
-                yj = mpc_mul(yj, y, prec, rnd)
-            return x, mp.mp.make_mpc(prod)
+                um, ue = _add(1, 0, -cm, ce, prec)  # 1 - y^j, whose imaginary part is -d
+                pm, pe, qm, qe = (
+                    *_add(pm * um, pe + ue, qm * dm, qe + de, prec),
+                    *_add(-pm * dm, pe + de, qm * um, qe + ue, prec),
+                )
+                cm, ce, dm, de = (
+                    *_add(cm * am, ce + ae, -dm * bm, de + be, prec),
+                    *_add(cm * bm, ce + be, dm * am, de + ae, prec),
+                )
+            return x, mp.mp.make_mpc((_raw(pm, pe), _raw(qm, qe)))
 
         return tuple(_split_map(node, range(2 * M)))
 

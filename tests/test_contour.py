@@ -245,7 +245,7 @@ class TestArcKernel:
         raw = "_mpc_" if full else "_mpf_"
         panels = nodes // contour._PANEL
         for l in (1, 2, 5):
-            for N in (1, 7, 20, 40, 88, 150):
+            for N in (1, 7, 20, 40, 64, 88, 150):  # 64: N's odd part is 1
                 got = _arc_integral(l, N, panels, prec, full)
                 want = plain_arc_integral(l, N, panels, prec, full)
                 assert getattr(got, raw) == getattr(want, raw), (l, N)
@@ -448,6 +448,22 @@ class TestNodeLadder:
         monkeypatch.setattr(contour, "_MAX_PANELS", 4)
         with pytest.raises(ArithmeticError, match="not converged at 128 nodes"):
             integral_approx_C(1, 175, PREC)
+
+
+class TestIntegrals:
+    def test_largest_n_runs_here_first_and_the_list_is_serial(self, monkeypatch, two_cpus):
+        Ns = [20, 27, 24, 21]
+        here = []
+        approx = contour.integral_approx_C
+
+        def spy(l, N, precision):
+            here.append(N)  # a forked child appends to its own copy
+            return approx(l, N, precision)
+
+        monkeypatch.setattr(contour, "integral_approx_C", spy)
+        got = contour._integrals(1, Ns, 64)
+        assert here[0] == max(Ns)
+        assert [v._mpf_ for v in got] == [approx(1, N, 64)._mpf_ for N in Ns]
 
 
 class TestMonotoneExponent:

@@ -97,9 +97,12 @@ PRIVATE_IMPORTS = {
     },
     "contour": {
         "specfun._GUARD",
+        "specfun._add",
         "specfun._check_precision",
         "specfun._dilog_value",
+        "specfun._div",
         "specfun._pi2_over_6",
+        "specfun._round",
         "specfun._split_map",
     },
     "saddle": {"specfun._GUARD", "specfun._phi_pair", "specfun._split_map"},

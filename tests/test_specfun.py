@@ -9,7 +9,15 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    round_nearest,
+)
 
 import radpfd.specfun as specfun
 from radpfd.specfun import (
@@ -271,6 +279,43 @@ class TestSeriesLi2:
             for u in series_inputs(prec):
                 _series_li2(u, prec)
         assert any(perturbed) and not all(perturbed)
+
+
+class TestContourSteps:
+    """_round and _div in the steps of contour's arc sum, oracle products and
+    Legendre recurrence: _round stands in for mpf_mul and mpf_mul_int, and
+    _div divides by N's or j's odd part and power of two, or by an odd
+    mantissa of up to prec bits."""
+
+    @pytest.mark.parametrize("prec", [96, 160, 288, 544])
+    def test_round_as_mpf_mul_and_mpf_mul_int(self, prec):
+        rng = random.Random(-prec)
+        for _ in range(500):  # signed products of up to 2 prec bits
+            am, bm = odd(rng, rng.randint(1, prec)), odd(rng, rng.randint(1, prec))
+            ae, be = rng.randint(-prec, prec), rng.randint(-prec, prec)
+            want = mpf_mul(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
+            assert from_man_exp(*specfun._round(am * bm, ae + be, prec)) == want, (am, ae, bm, be)
+        for k in range(1, 2 * prec, 7):  # ties: the k dropped bits read 10...0
+            for q in (odd(rng, prec), 2 * odd(rng, prec - 1)):  # either parity kept
+                m = (q << k) | 1 << (k - 1)
+                want = mpf_mul_int(from_man_exp(m, -k), 1, prec, round_nearest)
+                assert from_man_exp(*specfun._round(m, -k, prec)) == want, (q, k)
+        for n in range(1, 501):  # N <= 500, and the 2j - 1 and j - 1 of j <= 32
+            xm, xe = odd(rng, prec), rng.randint(-prec, prec)
+            want = mpf_mul_int(from_man_exp(xm, xe), n, prec, round_nearest)
+            assert from_man_exp(*specfun._round(xm * n, xe, prec)) == want, (xm, n)
+
+    @pytest.mark.parametrize("prec", [96, 160, 288, 544])
+    def test_div_as_mpf_div(self, prec):
+        rng = random.Random(prec + 1)
+        # the odd part and power of two of N <= 500 (of 64: 1 and 6) and j <= 32
+        divisors = [from_int(n)[1:3] for n in range(1, 501)]
+        divisors += [(abs(odd(rng, rng.randint(1, prec))), rng.randint(-prec, prec)) for _ in range(200)]
+        for d, de in divisors:
+            m, e = odd(rng, rng.randint(1, prec)), rng.randint(-prec, prec)
+            got = specfun._div(m, e, d, de, prec)
+            want = mpf_div(from_man_exp(m, e), from_man_exp(d, de), prec, round_nearest)
+            assert from_man_exp(*got) == want, (m, e, d, de)
 
 
 class TestJonquiere:
