@@ -30,18 +30,19 @@ vary l inside N reuse them and memory stays flat across N.  Cached values
 are computed exactly as uncached ones, so every result is the same bits
 with or without them.
 
-The node tables (the arc's per-node data, the oracle's products and the
-Li2 samples of the monotonicity witness) are built by specfun._split_map:
-on hosts with 2 or more usable CPUs it forks one child, which computes
-every other node at the same working precision, so the tables are the
-bits of the serial loop.  The arc integrals of a sweep over N
-(_integrals, which report.build_rows uses) run the largest N here, so
-its tables are built once and split, and then split the other N the
-same way; the child inherits the warm tables.  The arc sum, the oracle's
-products and the Legendre recurrence keep each part as a signed
-Python-int mantissa and an exponent, and round with specfun._round,
-_add and _div where the plain mpf and mpc expressions round, so they too
-are the same bits.  The package is still
+The node tables (the Gauss-Legendre rule's Newton solves, the arc's
+per-node data, the oracle's products and the Li2 samples of the
+monotonicity witness) are built by specfun._split_map: on hosts with 2 or
+more usable CPUs it forks one child, which computes every other node at
+the same working precision, so the tables are the bits of the serial
+loop.  The arc integrals of a sweep over N (_integrals, which
+report.build_rows uses) run the largest N here, so its tables are built
+once and split, and then split the other N the same way; the child
+inherits the warm tables.  The arc sum, the oracle's products and the
+Legendre recurrence keep each part as a signed Python-int mantissa and an
+exponent, and round with specfun._round, _add and _div where the plain
+mpf and mpc expressions round (factors of exact products made odd with
+specfun._norm), so they too are the same bits.  The package is still
 not thread-safe and must not be used from threads: fork and mp.workprec
 are both process-wide, and every routine sets mpmath's global working
 precision, so concurrent calls corrupt each other's arithmetic.
@@ -55,7 +56,7 @@ import operator
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_int, fzero, mpc_exp
+from mpmath.libmp import from_int, from_man_exp, mpc_exp
 
 from .specfun import (
     _GUARD,
@@ -63,6 +64,7 @@ from .specfun import (
     _check_precision,
     _dilog_value,
     _div,
+    _norm,
     _pi2_over_6,
     _round,
     _split_map,
@@ -170,9 +172,7 @@ def _mantissas(*raw):
     return [(-m if sign else m, e) for sign, m, e, _ in raw]
 
 
-def _raw(m, e):
-    """The raw mpf tuple of m * 2^e, m odd or 0."""
-    return (int(m < 0), abs(m), e, abs(m).bit_length()) if m else fzero
+_raw = from_man_exp  # the raw mpf tuple of m * 2^e, its mantissa made odd (or 0)
 
 
 def _legendre_p(x):
@@ -195,11 +195,10 @@ def _legendre_p(x):
 
 @functools.cache
 def _legendre_rule(precision: int):
-    """Nodes and weights of _PANEL-point Gauss-Legendre on [-1, 1]."""
+    """Nodes and weights of _PANEL-point Gauss-Legendre on [-1, 1], solved in _split_map."""
     n = _PANEL
     with mp.workprec(precision + _GUARD):
-        nodes = []
-        for k in range(n):
+        def solve(k):
             x = mp.mpf(math.cos(math.pi * (k + 0.75) / (n + 0.5)))
             for _ in range(precision):
                 p, dp = _legendre_p(x)
@@ -208,9 +207,13 @@ def _legendre_rule(precision: int):
                 if abs(dx) < mp.mpf(2) ** (-(precision + 8)):
                     break
             dp = _legendre_p(x)[1]
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append((x, w))
-        return tuple(nodes)
+            return x, 2 / ((1 - x * x) * dp * dp)
+
+        return tuple(_split_map(solve, range(n)))
+
+
+class _Nodes(tuple):
+    """An _arc_nodes table whose parts unpack each entry, once, to mantissas and exponents."""
 
 
 @functools.cache
@@ -240,7 +243,9 @@ def _arc_nodes(panels: int, precision: int, full: bool):
             return (z, w * half * 5j * e, mp.log(-z), invsq, rate / z)
 
         mids = [lo + panel * width + half for panel in range(panels)]
-        return tuple(_split_map(node, [(mid, x, w) for mid in mids for x, w in rule]))
+        table = _Nodes(_split_map(node, [(mid, x, w) for mid in mids for x, w in rule]))
+        table.parts = tuple(sum(_mantissas(*(p for v in e for p in v._mpc_)), ()) for e in table)
+        return table
 
 
 def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
@@ -265,11 +270,9 @@ def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
         n, nz = from_int(N)[1:3]  # N = n * 2^nz, n odd
         h = 2 * l - 1  # l - 1/2 = h * 2^-1
         re_terms, im_terms = [], []
-        for z, wdz, logmz, invsq, v in data:
-            (zr, zre), (zi, zie), (wr, wre), (wi, wie), (gr, gre), (gi, gie) = _mantissas(
-                *z._mpc_, *wdz._mpc_, *logmz._mpc_
-            )
-            (sr, sre), (si, sie), (vr, vre), (vi, vie) = _mantissas(*invsq._mpc_, *v._mpc_)
+        for row in data.parts:
+            (zr, zre, zi, zie, wr, wre, wi, wie, gr, gre,
+             gi, gie, sr, sre, si, sie, vr, vre, vi, vie) = row
             # each part of (l - 1/2) log(-z) + z/N + N v, rounded as mpc_mul_mpf,
             # mpc_div_mpf, mpc_add and mpc_mul_int round it
             ar, are = _add(*_round(gr * h, gre - 1, prec), *_div(zr, zre, n, nz, prec), prec)
@@ -277,8 +280,8 @@ def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
             ar, are = _add(ar, are, *_round(vr * N, vre, prec), prec)
             ai, aie = _add(ai, aie, *_round(vi * N, vie, prec), prec)
             (er, ere), (ei, eie) = _mantissas(*mpc_exp((_raw(ar, are), _raw(ai, aie)), prec, rnd))
-            tr, tre = _add(er * sr, ere + sre, -ei * si, eie + sie, prec)
-            ti, tie = _add(er * si, ere + sie, ei * sr, eie + sre, prec)
+            tr, tre = _norm(*_add(er * sr, ere + sre, -ei * si, eie + sie, prec))
+            ti, tie = _norm(*_add(er * si, ere + sie, ei * sr, eie + sre, prec))
             im_terms.append(_add(tr * wi, tre + wie, ti * wr, tie + wre, prec))
             if full:
                 re_terms.append(_add(tr * wr, tre + wre, -ti * wi, tie + wie, prec))
@@ -375,18 +378,18 @@ def _oracle_nodes(N: int, spec: QuadratureSpec):
         def node(k):
             x = r * mp.expjpi(mp.mpf(k) / M)  # e^{i pi k / M}, 2M-th roots
             (am, ae), (bm, be) = _mantissas(*x._mpc_)
-            am, ae = _add(am, ae, 1, 0, prec)  # y = 1 + x
+            am, ae = _norm(*_add(am, ae, 1, 0, prec))  # y = 1 + x
             cm, ce, dm, de = am, ae, bm, be  # y^j
             pm, pe, qm, qe = 1, 0, 0, 0  # the product
             for _ in range(N):
-                um, ue = _add(1, 0, -cm, ce, prec)  # 1 - y^j, whose imaginary part is -d
+                um, ue = _norm(*_add(1, 0, -cm, ce, prec))  # 1 - y^j, whose imaginary part is -d
                 pm, pe, qm, qe = (
-                    *_add(pm * um, pe + ue, qm * dm, qe + de, prec),
-                    *_add(-pm * dm, pe + de, qm * um, qe + ue, prec),
+                    *_norm(*_add(pm * um, pe + ue, qm * dm, qe + de, prec)),
+                    *_norm(*_add(-pm * dm, pe + de, qm * um, qe + ue, prec)),
                 )
                 cm, ce, dm, de = (
-                    *_add(cm * am, ce + ae, -dm * bm, de + be, prec),
-                    *_add(cm * bm, ce + be, dm * am, de + ae, prec),
+                    *_norm(*_add(cm * am, ce + ae, -dm * bm, de + be, prec)),
+                    *_norm(*_add(cm * bm, ce + be, dm * am, de + ae, prec)),
                 )
             return x, mp.mp.make_mpc((_raw(pm, pe), _raw(qm, qe)))
 

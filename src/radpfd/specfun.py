@@ -13,7 +13,9 @@ precision + 32 guard bits.  Functions returning an EvalResult report an
 upper bound on their error alongside the value.
 
 The private helper _split_map, which the node tables of contour and saddle
-share, forks one child on hosts with 2 or more usable CPUs.
+share, forks one child on hosts with 2 or more usable CPUs.  The Li2 series
+and contour's loops round signed Python-int mantissas as mpmath does, with
+_round, _add and _div, and make odd with _norm only what _add needs odd.
 """
 
 from __future__ import annotations
@@ -108,31 +110,41 @@ def _pi2_over_6():
 
 
 def _round(m, e, prec):
-    """m * 2^e rounded to prec bits as mpmath's normalize rounds it: half
-    to even on |m|, then trailing zero bits moved into the exponent, so a
-    nonzero m comes back odd."""
+    """m * 2^e rounded to prec bits as mpmath's normalize rounds it, half
+    to even on |m|, to |m| < 2^prec.  Unlike normalize, it leaves trailing
+    zero bits in m; _norm moves them into e where a caller needs m odd."""
     n = m.bit_length() - prec
     if n > 0:
         a = -m if m < 0 else m
         t = a >> (n - 1)
         if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
             a = (t >> 1) + 1
+            if a >> prec:  # carried to 2^prec
+                a, e = a >> 1, e + 1
         else:
             a = t >> 1
         m = -a if m < 0 else a
         e += n
-    if m and not m & 1:
-        z = (m & -m).bit_length() - 1
-        m >>= z
-        e += z
     return m, e
+
+
+def _norm(m, e):
+    """m * 2^e with m's trailing zero bits moved into e, so a nonzero m is odd."""
+    if m & 1 or not m:
+        return m, e
+    z = (m & -m).bit_length() - 1
+    return m >> z, e + z
 
 
 def _add(am, ae, bm, be, prec):
     """mpf_add of am * 2^ae and bm * 2^be at prec bits: the exact sum,
     rounded, except where the exponents are over 100 apart and the tops
     over prec + 4 apart; there mpf_add shifts the larger operand by
-    prec + 4 and adds the sign of the smaller in its last bit."""
+    prec + 4 and adds the sign of the smaller in its last bit.  Trailing
+    zero bits move that test, and the value only if the operand with the
+    larger exponent has over prec significant bits: so callers add two
+    operands of at most prec bits, odd or not, or two exact products of
+    odd factors."""
     if not am:
         return _round(bm, be, prec)
     if not bm:
@@ -184,8 +196,8 @@ def _series_li2(u, precision):
     sm, se, tm, te = 0, 0, 0, 0  # acc = s + t i
     for k in range(1, 64 * (precision + 64)):
         (am, ae), (bm, be) = (
-            _add(am * cm, ae + ce, -bm * dm, be + de, prec),
-            _add(am * dm, ae + de, bm * cm, be + ce, prec),
+            _norm(*_add(am * cm, ae + ce, -bm * dm, be + de, prec)),
+            _norm(*_add(am * dm, ae + de, bm * cm, be + ce, prec)),
         )
         kk = k * k
         kz = (kk & -kk).bit_length() - 1

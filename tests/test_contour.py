@@ -250,6 +250,16 @@ class TestArcKernel:
                 want = plain_arc_integral(l, N, panels, prec, full)
                 assert getattr(got, raw) == getattr(want, raw), (l, N)
 
+    def test_raw_tuples_have_odd_mantissas(self):
+        # the arc's rounded parts may end in zero bits; mpc_exp and make_mpf
+        # get them as raw tuples with the zero bits moved into the exponent
+        assert contour._raw(0, 5) == mp.mpf(0)._mpf_
+        for m in (1, -3, 5 << 7, -(2**300 + 1) << 64, 1 << 200):
+            for e in (-400, 0, 31):
+                sign, man, exp, bc = contour._raw(m, e)
+                assert man % 2 and bc == man.bit_length() and exp >= e
+                assert (-man if sign else man) << (exp - e) == m
+
 
 class TestArcNodeCache:
     def test_same_key_is_a_hit_on_the_same_object(self):
@@ -285,6 +295,14 @@ class TestLegendreRule:
             contour._legendre_rule.cache_clear()  # drop the rule built on the reference
         assert len(got) == n
         assert [(x._mpf_, w._mpf_) for x, w in got] == [(x._mpf_, w._mpf_) for x, w in want]
+
+
+class TestLegendreRuleOnTwoCpus(TestLegendreRule):
+    """The same comparison with the Newton solves split on any host."""
+
+    @pytest.fixture(autouse=True)
+    def _split(self, two_cpus):
+        pass
 
 
 def _serial_map(fn, items):
@@ -342,22 +360,32 @@ class TestOracleProducts:
         contour._oracle_nodes.cache_clear()
         assert _digest(contour._oracle_nodes(N, spec)) == _digest(plain_oracle_nodes(N, spec))
 
+    def test_a_tiny_radius_needs_the_odd_factors(self):
+        # the loop variables, left with their zero bits, move the far-operand
+        # test of a product sum here (found by a seeded search over radii)
+        spec = QuadratureSpec(nodes=23, precision=64, radius=1.3968721228693326e-15)
+        contour._oracle_nodes.cache_clear()
+        assert _digest(contour._oracle_nodes(12, spec)) == _digest(plain_oracle_nodes(12, spec))
+
 
 class TestSplitMap:
     """_split_map forks one child for the odd-indexed items; the tables it
     builds are the bits of the serial list."""
 
     def tables(self):
+        contour._legendre_rule.cache_clear()
         contour._arc_nodes.cache_clear()
         contour._oracle_nodes.cache_clear()
+        rule = [(x._mpf_, w._mpf_) for x, w in contour._legendre_rule(256)]
         arcs = ((2, False), (4, False), (2, True))
         tables = [contour._arc_nodes(panels, 256, full) for panels, full in arcs]
         for spec in (oracle_spec(20), dataclasses.replace(oracle_spec(20), precision=512)):
             contour._oracle_nodes.cache_clear()
             tables.append(contour._oracle_nodes(20, spec))
+        contour._legendre_rule.cache_clear()
         contour._arc_nodes.cache_clear()
         contour._oracle_nodes.cache_clear()
-        return [_digest(t) for t in tables]
+        return [rule] + [_digest(t) for t in tables]
 
     def test_tables_are_the_serial_bits(self, monkeypatch, two_cpus):
         split = self.tables()

@@ -101,6 +101,7 @@ PRIVATE_IMPORTS = {
         "specfun._check_precision",
         "specfun._dilog_value",
         "specfun._div",
+        "specfun._norm",
         "specfun._pi2_over_6",
         "specfun._round",
         "specfun._split_map",

@@ -244,7 +244,7 @@ class TestSeriesLi2:
         rng = random.Random(prec)
         for am, ae, bm, be in add_operands(rng, prec):
             m, e = specfun._add(am, ae, bm, be, prec)
-            assert m % 2 or not m
+            assert abs(m) < 1 << prec
             want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
             assert from_man_exp(m, e) == want, (am, ae, bm, be)
         for _ in range(1000):
@@ -252,9 +252,63 @@ class TestSeriesLi2:
             k = rng.randint(1, 5000)
             kz = (k * k & -(k * k)).bit_length() - 1
             m, e = specfun._div(am, ae, k * k >> kz, kz, prec)
-            assert m % 2
+            assert abs(m) < 1 << prec
             want = mpf_div(from_man_exp(am, ae), from_int(k * k), prec, round_nearest)
             assert from_man_exp(m, e) == want, (am, ae, k)
+
+    @pytest.mark.parametrize("prec", [96, 544])
+    def test_a_carry_keeps_the_mantissa_below_2_to_the_prec(self, prec):
+        for sign in (1, -1):  # prec + 1 one bits round up to 2^(prec + 1)
+            m, e = specfun._round(sign * ((1 << prec + 1) - 1), 0, prec)
+            assert abs(m) < 1 << prec and m << e == sign << prec + 1
+
+    @pytest.mark.parametrize("prec", [96, 160, 288, 544])
+    def test_short_operands_may_end_in_zero_bits(self, prec):
+        """The kernels leave rounded mantissas unnormalised and make odd only
+        the factors of the exact products that _add sums: zero bits on
+        operands of at most prec bits keep mpf_add's value when both
+        operands are that short, and zero bits on a wide operand move it."""
+        rng = random.Random(-prec)
+
+        def pad(m, e):  # up to prec bits wide if it fits, else 1 to 8 zero bits
+            width = m.bit_length()
+            t = rng.randint(0, prec - width) if width <= prec else rng.randint(1, 8)
+            return m << t, e - t
+
+        moved = 0
+        for am, ae, bm, be in add_operands(rng, prec):
+            want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
+            a = pad(am, ae) if am.bit_length() > prec else (am, ae)
+            b = pad(bm, be) if bm.bit_length() > prec else (bm, be)
+            moved += from_man_exp(*specfun._add(*a, *b, prec)) != want
+            # the same pair rounded to prec bits, so both operands are short
+            (am, ae), (bm, be) = specfun._round(am, ae, prec), specfun._round(bm, be, prec)
+            want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
+            got = specfun._add(*pad(am, ae), *pad(bm, be), prec)
+            assert from_man_exp(*got) == want, (am, ae, bm, be)
+        assert moved  # padded wide operands reach the exponent test
+
+    @pytest.mark.parametrize("prec", [160, 544])
+    def test_a_short_operand_beside_a_wide_one_must_be_odd(self, prec):
+        # the wide odd operand's bits below the rounding point sit 1 above the
+        # half-way point, and the short one pulls the exact sum below it; with
+        # 100 zero bits (110 bits wide) the short one meets the far-operand
+        # test, which adds only its sign
+        wide, short = 1 << 2 * prec - 1 | 1 << prec - 1 | 1, (-701, -5)
+        want = mpf_add(from_man_exp(wide, 0), from_man_exp(*short), prec, round_nearest)
+        assert from_man_exp(*specfun._add(wide, 0, *short, prec)) == want
+        assert from_man_exp(*specfun._add(wide, 0, -701 << 100, -105, prec)) != want
+
+    def test_the_power_is_made_odd(self):
+        # near the real axis; left with its zero bits, the power moves the
+        # far-operand test of a product sum and so the sum's last bits
+        # (found by a seeded search over u = c + d i, d about 2^-149 with a
+        # 98-bit mantissa)
+        cm = 306005874931705488033026213338502016428051732353317624805500855640742455926610086003783
+        dm = 225250661172279779945910456497
+        u = mp.mp.make_mpc((from_man_exp(-cm, -288), from_man_exp(-dm, -247)))
+        with mp.workprec(288):
+            assert _series_li2(u, 256)._mpc_ == plain_series_li2(u, 256)._mpc_
 
     @pytest.mark.parametrize("prec", [64, 128, 256, 512])
     def test_bit_identical_to_plain_mpc_loop(self, prec):
