@@ -20,25 +20,28 @@ trigonometric lower bound on a rectangle, and the Euler-summation
 constant c with an independent quadrature check.
 
 Three functools caches hold data that does not depend on l.  The
-Gauss-Legendre rule depends on the precision and the arc's per-node data
-(positions, dilogarithm values, branch logs) on (panel count, precision,
-half or full arc), never on (l, N); both caches only grow.  The oracle's
-nodes and l-independent products prod_{j<=N} (1 - (1+x)^j) depend on
-(N, spec); an lru_cache of size one keeps those of the latest (N, spec)
-only (it drops the previous set once the next is built), so calls that
-vary l inside N reuse them and memory stays flat across N.  Cached values
-are computed exactly as uncached ones, so every result is the same bits
-with or without them.
+Gauss-Legendre rule (mpf nodes and weights) depends on the precision and
+the arc's per-node data (positions, dilogarithm values, branch logs) on
+(panel count, precision, half or full arc), never on (l, N); both caches
+only grow.  The oracle's nodes and l-independent products
+prod_{j<=N} (1 - (1+x)^j) depend on (N, spec); an lru_cache of size one
+keeps those of the latest (N, spec) only (it drops the previous set once
+the next is built), so calls that vary l inside N reuse them and memory
+stays flat across N.  The arc and oracle caches keep each node once, as a
+tuple of ints: the signed mantissa and exponent of each real part, which
+the kernels read and from_man_exp rebuilds exactly.  Cached values are
+computed exactly as uncached ones, so every result is the same bits with
+or without them.
 
 The node tables (the Gauss-Legendre rule's Newton solves, the arc's
 per-node data, the oracle's products and the Li2 samples of the
 monotonicity witness) are built by specfun._split_map: on hosts with 2 or
 more usable CPUs it forks one child, which computes every other node at
-the same working precision, so the tables are the bits of the serial
-loop.  The arc integrals of a sweep over N (_integrals, which
-report.build_rows uses) run the largest N here, so its tables are built
-once and split, and then split the other N the same way; the child
-inherits the warm tables.  The arc sum, the oracle's products and the
+the same working precision (it pipes back the arc and oracle rows as
+ints), so the tables are the bits of the serial loop.  The arc integrals
+of a sweep over N (_integrals, which report.build_rows uses) run the
+largest N here, so its tables are built once and split, and then split
+the other N the same way; the child inherits the warm tables.  The arc sum, the oracle's products and the
 Legendre recurrence keep each part as a signed Python-int mantissa and an
 exponent, and round with specfun._round, _add and _div where the plain
 mpf and mpc expressions round (factors of exact products made odd with
@@ -212,16 +215,14 @@ def _legendre_rule(precision: int):
         return tuple(_split_map(solve, range(n)))
 
 
-class _Nodes(tuple):
-    """An _arc_nodes table whose parts unpack each entry, once, to mantissas and exponents."""
-
-
 @functools.cache
 def _arc_nodes(panels: int, precision: int, full: bool):
     """Per-node data on the arc theta in [pi/2, pi] (or [pi/2, 3pi/2]),
     split into `panels` equal panels of _PANEL nodes each.
 
-    Each entry is (z, wdz, log(-z), 1/sqrt(1 - e^z), (Li2(e^z) - pi^2/6)/z)
+    Each row holds the ten real parts of z, wdz, log(-z), 1/sqrt(1 - e^z)
+    and (Li2(e^z) - pi^2/6)/z, each as a signed mantissa and an exponent
+    (20 ints, mantissas odd or 0; from_man_exp rebuilds the raw tuples),
     with wdz = weight * dz/dtheta * panel scale.  Everything here is
     independent of l and N, which is what makes batch comparison over
     many N cheap.
@@ -240,12 +241,11 @@ def _arc_nodes(panels: int, precision: int, full: bool):
             ez = mp.exp(z)
             rate = _dilog_value(ez, precision) - _pi2_over_6()
             invsq = 1 / mp.sqrt(1 - ez)
-            return (z, w * half * 5j * e, mp.log(-z), invsq, rate / z)
+            values = (z, w * half * 5j * e, mp.log(-z), invsq, rate / z)
+            return sum(_mantissas(*(p for v in values for p in v._mpc_)), ())
 
         mids = [lo + panel * width + half for panel in range(panels)]
-        table = _Nodes(_split_map(node, [(mid, x, w) for mid in mids for x, w in rule]))
-        table.parts = tuple(sum(_mantissas(*(p for v in e for p in v._mpc_)), ()) for e in table)
-        return table
+        return tuple(_split_map(node, [(mid, x, w) for mid in mids for x, w in rule]))
 
 
 def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
@@ -270,7 +270,7 @@ def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
         n, nz = from_int(N)[1:3]  # N = n * 2^nz, n odd
         h = 2 * l - 1  # l - 1/2 = h * 2^-1
         re_terms, im_terms = [], []
-        for row in data.parts:
+        for row in data:
             (zr, zre, zi, zie, wr, wre, wi, wie, gr, gre,
              gi, gie, sr, sre, si, sie, vr, vre, vi, vie) = row
             # each part of (l - 1/2) log(-z) + z/N + N v, rounded as mpc_mul_mpf,
@@ -364,20 +364,21 @@ def _integrals(l: int, Ns, precision: int):
 @functools.lru_cache(maxsize=1)
 def _oracle_nodes(N: int, spec: QuadratureSpec):
     """The 2M trapezoid nodes x = r e^{i pi k / M} with prod_{j<=N} (1 - (1+x)^j),
-    independent of l.  Only the latest (N, spec) is kept, so a sweep over l
-    at one N computes them once and memory stays flat over many N.  The
-    product loop keeps each part as a signed Python-int mantissa and an
-    exponent and rounds where the mpc expressions 1 + x, 1 - y^j,
-    prod * (1 - y^j) and y^j * y round (each product: four exact products
-    and two specfun._add), so the products are the same bits."""
+    independent of l, as rows (xr, xre, xi, xie, pm, pe, qm, qe) of signed
+    mantissas and exponents of the real and imaginary parts of x and of the
+    product.  Only the latest (N, spec) is kept, so a sweep over l at one N
+    computes them once and memory stays flat over many N.  The product loop
+    keeps each part as a signed Python-int mantissa and an exponent and
+    rounds where the mpc expressions 1 + x, 1 - y^j, prod * (1 - y^j) and
+    y^j * y round (each product: four exact products and two
+    specfun._add), so the products are the same bits."""
     M = spec.nodes
     with mp.workprec(spec.precision + _GUARD):
         r = mp.mpf(spec.radius)
         prec = mp.mp.prec
 
         def node(k):
-            x = r * mp.expjpi(mp.mpf(k) / M)  # e^{i pi k / M}, 2M-th roots
-            (am, ae), (bm, be) = _mantissas(*x._mpc_)
+            (am, ae), (bm, be) = x = _mantissas(*(r * mp.expjpi(mp.mpf(k) / M))._mpc_)  # 2M-th roots
             am, ae = _norm(*_add(am, ae, 1, 0, prec))  # y = 1 + x
             cm, ce, dm, de = am, ae, bm, be  # y^j
             pm, pe, qm, qe = 1, 0, 0, 0  # the product
@@ -391,7 +392,7 @@ def _oracle_nodes(N: int, spec: QuadratureSpec):
                     *_norm(*_add(cm * am, ce + ae, -dm * bm, de + be, prec)),
                     *_norm(*_add(cm * bm, ce + be, dm * am, de + ae, prec)),
                 )
-            return x, mp.mp.make_mpc((_raw(pm, pe), _raw(qm, qe)))
+            return *x[0], *x[1], pm, pe, qm, qe
 
         return tuple(_split_map(node, range(2 * M)))
 
@@ -404,7 +405,8 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
     even-indexed nodes so the doubled run costs one extra sweep.  The
     delta is the quadrature error only, not an error bound where the
     cancellation's rounding dominates (see OracleValue).  The nodes and
-    their products come from the one-entry (N, spec) cache.
+    their products come from the one-entry (N, spec) cache as mantissas
+    and exponents; from_man_exp rebuilds each exactly as an mpc.
     """
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
@@ -417,7 +419,11 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
         raise ValueError("too few nodes: the coarse rule aliases the pole of order N - l at 0")
     nodes = _oracle_nodes(N, spec)
     with mp.workprec(spec.precision + _GUARD):
-        vals = [x**l / prod for x, prod in nodes]  # f(x) * x with f = x^{l-1}/prod
+        mpc = mp.mp.make_mpc
+        vals = [  # f(x) * x with f = x^{l-1}/prod
+            mpc((_raw(xr, xre), _raw(xi, xie))) ** l / mpc((_raw(pm, pe), _raw(qm, qe)))
+            for xr, xre, xi, xie, pm, pe, qm, qe in nodes
+        ]
         coarse = _pairwise_sum(vals[0::2]) / M
         fine = _pairwise_sum(vals) / (2 * M)
         return OracleValue(value=fine, node_doubling_delta=mp.mpf(abs(fine - coarse)))

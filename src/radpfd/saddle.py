@@ -120,8 +120,8 @@ def H(l: int, N, sd: SaddleData) -> mp.mpf:
         raise ValueError("l must be a positive integer")
     scale, K = _amplitude(l, sd)
     with mp.workprec(sd.precision + _GUARD):
-        angle = mp.mpf(N) * sd.theta
-        return mp.mpf(scale * (K.imag * mp.cos(angle) - K.real * mp.sin(angle)))
+        cos, sin = mp.cos_sin(mp.mpf(N) * sd.theta)
+        return mp.mpf(scale * (K.imag * cos - K.real * sin))
 
 
 def asymptotic_C(l: int, N: int, sd: SaddleData) -> mp.mpf:

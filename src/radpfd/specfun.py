@@ -224,9 +224,8 @@ def _dilog_value(w, precision):
         return mp.mpc(0)
     if w == 1:
         return mp.mpc(_pi2_over_6())
-    m_direct = abs(w)
-    m_reflect = abs(1 - w)
-    m_landen = abs(w / (w - 1))
+    reflect, landen = 1 - w, w / (w - 1)  # each route reuses its argument
+    m_direct, m_reflect, m_landen = abs(w), abs(reflect), abs(landen)
     best = min(m_direct, m_reflect, m_landen)
     if best > mp.mpf("0.75"):
         # Near w = e^(+-i pi/3) all three routes degenerate toward modulus
@@ -237,12 +236,8 @@ def _dilog_value(w, precision):
     if best == m_direct:
         return _series_li2(w, precision)
     if best == m_reflect:
-        return (
-            _pi2_over_6()
-            - mp.log(w) * mp.log(1 - w)
-            - _series_li2(1 - w, precision)
-        )
-    return -_series_li2(w / (w - 1), precision) - mp.log(1 - w) ** 2 / 2
+        return _pi2_over_6() - mp.log(w) * mp.log(reflect) - _series_li2(reflect, precision)
+    return -_series_li2(landen, precision) - mp.log(reflect) ** 2 / 2
 
 
 def dilog(w, precision: int = 256) -> EvalResult:

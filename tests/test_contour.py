@@ -7,6 +7,7 @@ import os
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import MPZ, from_man_exp
 
 import radpfd.contour as contour
 import radpfd.specfun as specfun
@@ -220,9 +221,15 @@ class TestArcIntegral:
             assert abs(v96 - v128) < mp.mpf("1e-10") * abs(v128)
 
 
+def _raw_row(row):
+    """The raw mpc tuples of a cached row of signed mantissas and exponents."""
+    parts = [from_man_exp(m, e) for m, e in zip(row[0::2], row[1::2])]
+    return tuple(zip(parts[0::2], parts[1::2]))
+
+
 def plain_arc_integral(l, N, panels, precision, full):
     """Reference for _arc_integral: the sum on plain mpc objects."""
-    data = contour._arc_nodes(panels, precision, full)
+    data = [map(mp.mp.make_mpc, _raw_row(row)) for row in contour._arc_nodes(panels, precision, full)]
     with mp.workprec(precision + 32):
         half = l - mp.mpf(1) / 2
         terms = [
@@ -250,6 +257,33 @@ class TestArcKernel:
                 want = plain_arc_integral(l, N, panels, prec, full)
                 assert getattr(got, raw) == getattr(want, raw), (l, N)
 
+    # Rows (z, wdz, log(-z), invsq, v) as cached, found by one seeded search
+    # (seeds 2647 and 4545): at l = N = 1 the exponent is v, whose exponential
+    # has an imaginary part below 2^-100 of its real part, and wdz's parts are
+    # 2^102 to 2^104 apart, so the sums of tr and ti times wdz take mpf_add's
+    # far-operand path; ti (the first row) or tr (the second) left with zero
+    # bits moves that test and the value at 64 bits.
+    FAR_ROWS = (
+        (0, 0, 0, 0,
+         41630725229673192045783471861, -96, -46993405894239058241485570451, 6,
+         0, 0, 0, 0,
+         -56264859419828270453631974145, -99, 62855403721439053463897917569, -99,
+         41569705748255, -47, 8297548916707460052479081, -185),
+        (0, 0, 0, 0,
+         -74446255111756530990801953719, -96, -65417524637788806382663651659, 8,
+         0, 0, 0, 0,
+         44190199286616466626560282151, -98, -68547203071710897824994793771, -96,
+         -15, -5, 13565012383550820835735651773, -229),
+    )
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("row", FAR_ROWS)
+    def test_a_far_exponential_needs_odd_tr_and_ti(self, monkeypatch, row, full):
+        monkeypatch.setattr(contour, "_arc_nodes", lambda *args: (row,))
+        raw = "_mpc_" if full else "_mpf_"
+        got, want = (getattr(f(1, 1, 1, 64, full), raw) for f in (_arc_integral, plain_arc_integral))
+        assert got == want
+
     def test_raw_tuples_have_odd_mantissas(self):
         # the arc's rounded parts may end in zero bits; mpc_exp and make_mpf
         # get them as raw tuples with the zero bits moved into the exponent
@@ -267,6 +301,14 @@ class TestArcNodeCache:
         hits = contour._arc_nodes.cache_info().hits
         assert contour._arc_nodes(1, 64, False) is first
         assert contour._arc_nodes.cache_info().hits == hits + 1
+
+    def test_cached_rows_hold_only_ints(self):
+        # one copy of each node: mantissas and exponents, no mpc beside them
+        contour._oracle_nodes.cache_clear()
+        arc, oracle = contour._arc_nodes(1, 64, False), contour._oracle_nodes(4, oracle_spec(4))
+        assert [len(arc), len(oracle)] == [32, 2 * oracle_spec(4).nodes]
+        assert {len(row) for row in arc} == {20} and {len(row) for row in oracle} == {8}
+        assert {type(x) for row in arc + oracle for x in row} <= {int, MPZ}
 
 
 def _no_nodes(*args):
@@ -310,8 +352,9 @@ def _serial_map(fn, items):
 
 
 def _digest(table):
-    """sha256 over the raw mpmath tuples of a node table."""
-    raw = [tuple(v._mpc_ for v in entry) for entry in table]
+    """sha256 over the raw mpmath tuples of a node table: of its mpc values,
+    or rebuilt from a cached row's mantissas and exponents."""
+    raw = [_raw_row(e) if isinstance(e[0], int) else tuple(v._mpc_ for v in e) for e in table]
     return hashlib.sha256(repr(raw).encode()).hexdigest()
 
 

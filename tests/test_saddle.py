@@ -240,6 +240,14 @@ class TestAmplitudeCache:
         for N in (1, 37.25, 100, 147, mp.mpf(100) + sd.p):
             assert H(l, N, sd)._mpf_ == plain_H(l, N, sd)._mpf_
 
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    def test_one_cos_sin_call_is_the_two_calls(self, prec):
+        # H takes cos and sin of its angle from one mp.cos_sin call
+        sd = saddle_constants(prec)
+        for l in (1, 2):
+            for N in (1, 37.25, 88, 100.5, 147, mp.mpf(100) + sd.p):
+                assert H(l, N, sd)._mpf_ == plain_H(l, N, sd)._mpf_, (l, N)
+
     def test_computed_once_per_l_and_saddle(self, sd):
         H(4, 100, sd)
         hits = saddle._amplitude.cache_info().hits
