@@ -50,8 +50,8 @@ __all__ = ["main", "write_figures", "run_checks"]
 # this cap so that every integral it prints has an exact value to check
 _MAX_N = 500
 # --prec-bits below 64 or above this exits 2 before any work, whatever the
-# subcommand: at 1024 bits check took 3.2 s and figures 4.4 s, at 2048 bits
-# 9.8 s and 11 s (medians of 3 runs on 2 cores)
+# subcommand: at 1024 bits check takes 1.7 s and figures 2.4 s (medians of 10
+# fresh processes on 2 vCPUs), at 512 bits 0.93 s and 1.3 s
 _MAX_PREC_BITS = 1024
 # a compare range of more N exits 2 before any work: asymptotic rows, which no
 # --to cap bounds, are held until written, and 10 000 of them took 1.7 s
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help=f"working precision in bits, 64 to {_MAX_PREC_BITS}; "
-        f"at {_MAX_PREC_BITS} check takes about 3 s and figures 4.5 s",
+        f"at {_MAX_PREC_BITS} check takes about 2 s and figures 2.5 s",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

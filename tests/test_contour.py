@@ -7,7 +7,7 @@ import os
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import MPZ, from_man_exp
+from mpmath.libmp import MPZ, from_man_exp, mpc_exp
 
 import radpfd.contour as contour
 import radpfd.specfun as specfun
@@ -295,6 +295,72 @@ class TestArcKernel:
                 assert (-man if sign else man) << (exp - e) == m
 
 
+def _arc_exponents(precision):
+    """The arc's exponents (l - 1/2) log(-z) + z/N + N v as raw mpc tuples,
+    at precision + 32 bits as _arc_integral forms them, for l = 1..8 and
+    N = 1..500: for each pair node (l + 8N) mod 32 of the one-panel full
+    arc, whose nodes reach both half arcs."""
+    table = [_raw_row(row) for row in contour._arc_nodes(1, precision, True)]
+    with mp.workprec(precision + 32):
+        out = []
+        for l in range(1, 9):
+            half = l - mp.mpf(1) / 2
+            for N in range(1, 501):
+                z, _, logmz, _, v = map(mp.mp.make_mpc, table[(l + 8 * N) % len(table)])
+                out.append((half * logmz + z / N + N * v)._mpc_)
+        return out
+
+
+def _assert_exp_parts_match(raw, prec):
+    # the arc passes _add's parts, which may end in zero bits: shift some in
+    (am, ae), (bm, be) = contour._mantissas(*raw)
+    for k in (0, 3):
+        got = contour._exp_parts(am << k, ae - k, bm << k, be - k, prec)
+        assert all(m & 1 or not m for m, _ in got), (raw, prec, k)
+        assert tuple(from_man_exp(m, e) for m, e in got) == mpc_exp(raw, prec, "n"), (raw, prec, k)
+
+
+class TestExpParts:
+    """_exp_parts is mpc_exp, bit for bit, on the kernels or by falling back."""
+
+    @pytest.mark.parametrize("precision", [64, 256, 320, 512, 1024])
+    def test_the_arcs_exponents(self, precision):
+        for raw in _arc_exponents(precision):
+            _assert_exp_parts_match(raw, precision + 32)
+
+    # (a, b, working bits, whether mpmath branches away from the kernels)
+    CRAFTED = {
+        "ln 2 reduction, |a| >= 2": ("-7.3", "1.1", 288, False),
+        "no reduction, |a| < 2": ("0.4", "0.9", 288, False),
+        "negative b, quadrant 0": ("0.25", "-0.3", 288, False),
+        "negative b, quadrant 1": ("0.25", "-2.0", 288, False),
+        "negative b, quadrant 2": ("0.25", "-3.5", 288, False),
+        "negative b, quadrant 3": ("0.25", "-5.0", 288, False),
+        "negative b, quadrant 0 again": ("0.25", "-7.0", 288, False),
+        "integer a at 288 bits": ("3", "0.7", 288, False),
+        "reduced a above 600 bits": ("-7.3", "1.1", 1056, False),
+        "zero a": ("0", "0.7", 288, True),
+        "zero b": ("0.7", "0", 288, True),
+        "a below 2^-wp": (2**-400, "0.7", 288, True),
+        "b below 2^-wp": ("0.7", 2**-400, 288, True),
+        "integer a above 600 bits": ("-12", "0.7", 1056, True),
+    }
+
+    @pytest.mark.parametrize("a, b, prec, fallback", CRAFTED.values(), ids=CRAFTED)
+    def test_each_branch(self, monkeypatch, a, b, prec, fallback):
+        calls = []
+
+        def spy(z, prec, rnd):
+            calls.append(z)
+            return mpc_exp(z, prec, rnd)
+
+        monkeypatch.setattr(contour, "mpc_exp", spy)
+        with mp.workprec(prec):
+            raw = (mp.mpf(a)._mpf_, mp.mpf(b)._mpf_)
+        _assert_exp_parts_match(raw, prec)
+        assert bool(calls) == fallback
+
+
 class TestArcNodeCache:
     def test_same_key_is_a_hit_on_the_same_object(self):
         first = contour._arc_nodes(1, 64, False)
@@ -541,6 +607,15 @@ class TestMonotoneExponent:
     def test_leg_toward_the_saddle_is_monotone(self, sd):
         path = [5j + (complex(sd.z0) - 5j) * t / 199 for t in range(200)]
         assert check_monotone_exponent(path) is True
+
+    def test_64_bit_margins_on_checks_leg(self, sd):
+        # check's leg: each step between samples dwarfs their error bounds
+        path = [5j + (complex(sd.z0) - 5j) * t / 199 for t in range(200)]
+        samples = contour._growth_samples(path)
+        with mp.workprec(128):
+            step = min(b - a for a, b in zip(samples, samples[1:]))
+            bound = max(specfun._relative_bound(s, 64) for s in samples)
+        assert step > 4 * bound
 
     def test_constant_path_is_vacuously_monotone(self):
         assert check_monotone_exponent([-1 + 2j] * 5) is True

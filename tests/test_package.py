@@ -125,6 +125,49 @@ def test_private_imports_between_modules_are_listed():
     assert {stem: names for stem, names in found.items() if names} == PRIVATE_IMPORTS
 
 
+# the names each module of the package imports from mpmath.libmp or one of
+# its submodules: mpmath internals, outside its public API
+MPMATH_INTERNALS = {
+    "exact": {"mpmath.libmp.from_rational"},
+    "specfun": {
+        "mpmath.libmp.from_man_exp",
+        "mpmath.libmp.mpc_abs",
+        "mpmath.libmp.mpf_lt",
+        "mpmath.libmp.mpf_mul",
+    },
+    "contour": {
+        "mpmath.libmp.from_int",
+        "mpmath.libmp.from_man_exp",
+        "mpmath.libmp.mpc_exp",
+        "mpmath.libmp.libelefun.cos_sin_basecase",
+        "mpmath.libmp.libelefun.exp_basecase",
+        "mpmath.libmp.libelefun.ln2_fixed",
+        "mpmath.libmp.libelefun.mod_pi2",
+    },
+}
+
+
+def test_mpmath_internals_are_listed():
+    """Every name imported from mpmath.libmp or its submodules (or the
+    modules themselves, by `import mpmath.libmp` or `from mpmath import
+    libmp`) is on the list above, and every listed one is still imported:
+    a new reach into mpmath's internals is an edit of this list."""
+    src = Path(radpfd.__file__).resolve().parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            internal = {name for name in names if name.startswith("mpmath.libmp")}
+            if internal:
+                found.setdefault(path.stem, set()).update(internal)
+    assert found == MPMATH_INTERNALS
+
+
 # dataclass fields that no code in src/radpfd reads, kept on purpose
 UNREAD_FIELDS = {
     "OracleValue.node_doubling_delta": "the oracle's quadrature-error diagnostic, for a run trace",

@@ -71,6 +71,10 @@ class TestSolve:
     def test_one_root_in_the_disk(self):
         assert argument_principle_count() == 1
 
+    def test_trapezoid_value_at_64_bits_is_near_one(self):
+        value = saddle._argument_principle_value()
+        assert abs(value - 1) < mp.mpf("1e-20")
+
     def test_pinned_root_and_residual(self, sd):
         assert mp.nstr(sd.z0, 90) == Z0_90
         assert mp.nstr(abs(phi(sd.z0, PREC)), 3) == "4.72e-81"
