@@ -37,7 +37,7 @@ from .report import (
     figure_configs,
     magnitude_series,
 )
-from .saddle import H, argument_principle_count, asymptotic_C, saddle_constants
+from .saddle import H, _saddle_precision, argument_principle_count, asymptotic_C, saddle_constants
 from .specfun import _GUARD, _check_precision, phi
 from .svg import line_chart
 
@@ -56,6 +56,9 @@ _MAX_PREC_BITS = 1024
 # a compare range of more N exits 2 before any work: asymptotic rows, which no
 # --to cap bounds, are held until written, and 10 000 of them took 1.7 s
 _MAX_ROWS = 10_000
+# an asymptotic --N or --to of more bits exits 2 before any work; the saddle's
+# precision grows with N's bits (saddle._saddle_precision), to 2048 at most
+_MAX_N_BITS = 1024
 
 
 def _add_range(p, n_from: int, n_to: int):
@@ -138,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_range(args, modes):
-    """Reject an empty range, an exact or integral sweep past _MAX_N, and a
-    range of more than _MAX_ROWS values of N."""
+    """Reject an empty range, a sweep past _MAX_N (exact or integral) or
+    _MAX_N_BITS bits (asymptotic), and over _MAX_ROWS values of N."""
     if not 1 <= args.n_from <= args.n_to:
         raise ValueError(f"need 1 <= --from <= --to, got {args.n_from}..{args.n_to}")
     capped = [mode for mode in ("exact", "integral") if mode in modes]
@@ -147,6 +150,8 @@ def _check_range(args, modes):
         raise ValueError(
             f"--to must be at most {_MAX_N} for {capped[0]} values, got {args.n_to}"
         )
+    if "asymptotic" in modes and args.n_to.bit_length() > _MAX_N_BITS:
+        raise ValueError(f"--to must be below 2^{_MAX_N_BITS} for asymptotic values")
     rows = args.n_to - args.n_from + 1
     if rows > _MAX_ROWS:
         raise ValueError(f"--from..--to must span at most {_MAX_ROWS} values, got {rows}")
@@ -178,14 +183,16 @@ def cmd_constants(args) -> int:
 
 
 def _check_coefficient(args, capped: bool):
-    """Reject (N, l) unless C(N, l) exists, and N past _MAX_N where capped,
-    before any work."""
+    """Reject (N, l) unless C(N, l) exists, and N past _MAX_N where capped
+    or of more than _MAX_N_BITS bits, before any work."""
     if args.N < 1:
         raise ValueError("N must be a positive integer")
     if not 1 <= args.l <= args.N:
         raise ValueError(f"--l must be in 1..{args.N}, got {args.l}: no such coefficient")
     if capped and args.N > _MAX_N:
         raise ValueError(f"--N must be at most {_MAX_N}, got {args.N}")
+    if args.N.bit_length() > _MAX_N_BITS:
+        raise ValueError(f"--N must be below 2^{_MAX_N_BITS}")
 
 
 def cmd_exact(args) -> int:
@@ -200,7 +207,7 @@ def cmd_exact(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     _check_coefficient(args, capped=False)
-    sd = saddle_constants(args.prec_bits)
+    sd = saddle_constants(_saddle_precision(args.prec_bits, args.N))
     print(f"asymptotic C({args.N}, {args.l}) = {mp.nstr(asymptotic_C(args.l, args.N, sd), 17)}")
     print(f"H_{args.l}({args.N}) = {mp.nstr(H(args.l, args.N, sd), 17)}")
     return 0

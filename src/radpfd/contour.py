@@ -7,14 +7,14 @@ approximation integrates
 
 over the left half of the circle |z| = 5 (composite Gauss-Legendre),
 exploiting conjugate symmetry to halve the arc, and doubles the node
-count until two successive counts agree.  The Cauchy oracle
-recovers the exact coefficient as (1/2 pi i) times the loop integral of
+count until two successive counts agree.  The Cauchy oracle recovers the
+exact coefficient as (1/2 pi i) times the loop integral of
 x^{l-1} prod_{j<=N} (1 - (x+1)^j)^{-1} around a small circle inside the
 pole-free annulus (trapezoid rule, spectrally accurate).  Its default
 node count is the least that keeps the rule free of aliasing from the
 pole at 0 and pushes the Taylor tail below its working precision; a
-count that aliases is rejected.  The remaining
-operations are numeric witnesses for facts used in the error analysis:
+count that aliases is rejected.  The remaining operations are numeric
+witnesses for facts used in the error analysis:
 monotonicity of Re((Li2(e^z) - pi^2/6)/z) along a contour leg, a
 trigonometric lower bound on a rectangle, and the Euler-summation
 constant c with an independent quadrature check.
@@ -41,18 +41,17 @@ the same working precision (it pipes back the arc and oracle rows as
 ints), so the tables are the bits of the serial loop.  The arc integrals
 of a sweep over N (_integrals, which report.build_rows uses) run the
 largest N here, so its tables are built once and split, and then split
-the other N the same way; the child inherits the warm tables.  The arc sum, the oracle's products and the
-Legendre recurrence keep each part as a signed Python-int mantissa and an
-exponent, and round with specfun._round, _add and _div where the plain
-mpf and mpc expressions round (factors of exact products made odd with
-specfun._norm), so they too are the same bits.  The arc's exponential
-runs mpc_exp's steps on those parts: exp_basecase, mod_pi2 and
-cos_sin_basecase, mpmath's fixed-point kernels, rounded with
-specfun._round, and mpc_exp itself on the inputs where mpmath takes another
-branch; so it is mpc_exp's bits too.  The package is still
-not thread-safe and must not be used from threads: fork and mp.workprec
-are both process-wide, and every routine sets mpmath's global working
-precision, so concurrent calls corrupt each other's arithmetic.
+the other N the same way; the child inherits the warm tables.
+
+The arc sum, the oracle's products and the Legendre recurrence keep each
+part as a signed Python-int mantissa and an exponent and round with
+specfun._round, _add and _div where the plain mpf and mpc expressions
+round: _add is mpf_add and _div is mpf_div by a positive integer, for any
+operands.  The arc's exponential runs mpc_exp's own steps on the parts
+(_exp_parts).  So they too are the same bits.  The package is not
+thread-safe: fork and mp.workprec are both process-wide, and every routine
+sets mpmath's global working precision, so concurrent calls corrupt each
+other's arithmetic.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import operator
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, mpc_exp
+from mpmath.libmp import from_man_exp, mpc_exp
 from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase, ln2_fixed, mod_pi2
 
 from .specfun import (
@@ -72,7 +71,7 @@ from .specfun import (
     _check_precision,
     _dilog_value,
     _div,
-    _norm,
+    _mantissas,
     _pi2_over_6,
     _round,
     _split_map,
@@ -175,29 +174,20 @@ def _pairwise_sum(values, add=operator.add):
     return add(_pairwise_sum(values[:half], add), _pairwise_sum(values[half:], add))
 
 
-def _mantissas(*raw):
-    """(signed mantissa, exponent) of each raw mpf tuple."""
-    return [(-m if sign else m, e) for sign, m, e, _ in raw]
-
-
-_raw = from_man_exp  # the raw mpf tuple of m * 2^e, its mantissa made odd (or 0)
-
-
 def _legendre_p(x):
     """P_n(x) and P_n'(x), n = _PANEL, by the three-term recurrence at the
-    caller's working precision.  The loop keeps p0 and p1 as signed
-    Python-int mantissas and exponents and rounds where the mpf expression
-    ((2j-1) x p1 - (j-1) p0) / j rounds (specfun._round, _add, _div), so
-    P_n and the mpf expression n (x p1 - p0) / (x x - 1) are the bits of
-    the plain recurrence."""
+    caller's working precision.  The loop rounds p0's and p1's mantissas
+    where the mpf expression ((2j-1) x p1 - (j-1) p0) / j rounds
+    (specfun._round, _add, _div), so P_n and n (x p1 - p0) / (x x - 1) are
+    the bits of the plain recurrence."""
     prec = mp.mp.prec
     [(xm, xe)] = _mantissas(x._mpf_)
     am, ae, bm, be = 1, 0, xm, xe  # p0, p1
     for j in range(2, _PANEL + 1):
         tm, te = _round(xm * (2 * j - 1), xe, prec)
         tm, te = _add(*_round(tm * bm, te + be, prec), *_round(-am * (j - 1), ae, prec), prec)
-        am, ae, (bm, be) = bm, be, _div(tm, te, *from_int(j)[1:3], prec)  # j's odd part, its power of 2
-    p0, p1 = mp.mp.make_mpf(_raw(am, ae)), mp.mp.make_mpf(_raw(bm, be))
+        am, ae, (bm, be) = bm, be, _div(tm, te, j, prec)
+    p0, p1 = mp.mp.make_mpf(from_man_exp(am, ae)), mp.mp.make_mpf(from_man_exp(bm, be))
     return p1, _PANEL * (x * p1 - p0) / (x * x - 1)
 
 
@@ -222,21 +212,20 @@ def _legendre_rule(precision: int):
 
 def _exp_parts(am, ae, bm, be, prec):
     """mpc_exp of am 2^ae + i bm 2^be at prec bits, as the signed mantissas
-    and exponents of its real and imaginary parts, mantissas odd or 0.
+    and exponents of its real and imaginary parts.
 
     The steps of mpc_exp, mpf_exp and mpf_cos_sin on the parts: e^a at
     prec + 4 bits from exp_basecase (after the ln 2 reduction for |a| >= 2),
     cos b and sin b at prec + 4 bits from mod_pi2 and cos_sin_basecase, the
     quadrant mapped, each rounded with specfun._round, and the two products
-    rounded to prec bits and made odd.  Where mpmath takes another branch (a
-    or b zero, a part below 2^-wp, or an integer a above 600 bits) this
-    calls mpc_exp.  Rounding is half to even, mpmath's 'n', as everywhere
-    in the package.  So the parts are mpc_exp's bits."""
+    rounded to prec bits.  Where mpmath takes another branch (a or b zero,
+    a part below 2^-wp, or an integer a above 600 bits) this calls mpc_exp.
+    Rounding is half to even, mpmath's 'n'.  So the parts are mpc_exp's bits."""
     p = prec + 4
     xp, cp = p + 14, p + 10  # mpf_exp's and mpf_cos_sin's working precisions
     amag, bmag = am.bit_length() + ae, bm.bit_length() + be
-    if not am or not bm or amag < -xp or bmag < -cp or (p > 600 and _norm(am, ae)[1] >= 0):
-        return _mantissas(*mpc_exp((_raw(am, ae), _raw(bm, be)), prec, "n"))
+    if not am or not bm or amag < -xp or bmag < -cp or (p > 600 and ae + (am & -am).bit_length() > 0):
+        return _mantissas(*mpc_exp((from_man_exp(am, ae), from_man_exp(bm, be)), prec, "n"))
     if amag > 1:  # e^a = 2^n e^(a - n log 2)
         wpmod = xp + amag
         offset = ae + wpmod
@@ -251,7 +240,7 @@ def _exp_parts(am, ae, bm, be, prec):
     c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
     cm, ce = _round(c, -cp, p)
     sm, se = _round(-s if bm < 0 else s, -cp, p)
-    return [_norm(*_round(mm * cm, me + ce, prec)), _norm(*_round(mm * sm, me + se, prec))]
+    return [_round(mm * cm, me + ce, prec), _round(mm * sm, me + se, prec)]
 
 
 @functools.cache
@@ -261,9 +250,8 @@ def _arc_nodes(panels: int, precision: int, full: bool):
 
     Each row holds the ten real parts of z, wdz, log(-z), 1/sqrt(1 - e^z)
     and (Li2(e^z) - pi^2/6)/z, each as a signed mantissa and an exponent
-    (20 ints, mantissas odd or 0; from_man_exp rebuilds the raw tuples),
-    with wdz = weight * dz/dtheta * panel scale.  Everything here is
-    independent of l and N, which is what makes batch comparison over
+    (20 ints), with wdz = weight * dz/dtheta * panel scale.  Everything here
+    is independent of l and N, which is what makes batch comparison over
     many N cheap.
     """
     rule = _legendre_rule(precision)
@@ -295,11 +283,8 @@ def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
     The loop keeps each real and imaginary part as a signed Python-int
     mantissa and an exponent, and rounds where the mpc expression
     exp((l - 1/2) log(-z) + z/N + N v) * invsq * wdz and the pairwise sum
-    of the terms round (specfun._round, _add, _div; the division by N
-    takes N's odd part and its power of two).  The exponential of the
-    rounded exponent comes from _exp_parts, mpmath's fixed-point kernels on
-    the same parts with mpc_exp's rounding (mpc_exp itself where mpmath
-    branches elsewhere).  So the value is the same bits.  The half arc
+    of the terms round (specfun._round, _add, _div; the exponential from
+    _exp_parts), so the value is the same bits.  The half arc
     needs only the imaginary part of the sum, so it forms only the
     imaginary part of each product with wdz and adds those."""
     if l < 1 or N < 1:
@@ -308,7 +293,6 @@ def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
     data = _arc_nodes(panels, precision, full)
     with mp.workprec(precision + _GUARD):
         prec = mp.mp.prec
-        n, nz = from_int(N)[1:3]  # N = n * 2^nz, n odd
         h = 2 * l - 1  # l - 1/2 = h * 2^-1
         re_terms, im_terms = [], []
         for row in data:
@@ -316,19 +300,19 @@ def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
              gi, gie, sr, sre, si, sie, vr, vre, vi, vie) = row
             # each part of (l - 1/2) log(-z) + z/N + N v, rounded as mpc_mul_mpf,
             # mpc_div_mpf, mpc_add and mpc_mul_int round it
-            ar, are = _add(*_round(gr * h, gre - 1, prec), *_div(zr, zre, n, nz, prec), prec)
-            ai, aie = _add(*_round(gi * h, gie - 1, prec), *_div(zi, zie, n, nz, prec), prec)
+            ar, are = _add(*_round(gr * h, gre - 1, prec), *_div(zr, zre, N, prec), prec)
+            ai, aie = _add(*_round(gi * h, gie - 1, prec), *_div(zi, zie, N, prec), prec)
             ar, are = _add(ar, are, *_round(vr * N, vre, prec), prec)
             ai, aie = _add(ai, aie, *_round(vi * N, vie, prec), prec)
             (er, ere), (ei, eie) = _exp_parts(ar, are, ai, aie, prec)
-            tr, tre = _norm(*_add(er * sr, ere + sre, -ei * si, eie + sie, prec))
-            ti, tie = _norm(*_add(er * si, ere + sie, ei * sr, eie + sre, prec))
+            tr, tre = _add(er * sr, ere + sre, -ei * si, eie + sie, prec)
+            ti, tie = _add(er * si, ere + sie, ei * sr, eie + sre, prec)
             im_terms.append(_add(tr * wi, tre + wie, ti * wr, tie + wre, prec))
             if full:
                 re_terms.append(_add(tr * wr, tre + wre, -ti * wi, tie + wie, prec))
 
         def total(terms):
-            return _raw(*_pairwise_sum(terms, lambda x, y: _add(*x, *y, prec)))
+            return from_man_exp(*_pairwise_sum(terms, lambda x, y: _add(*x, *y, prec)))
 
         sign = 1 if l % 2 == 1 else -1
         norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
@@ -409,10 +393,9 @@ def _oracle_nodes(N: int, spec: QuadratureSpec):
     mantissas and exponents of the real and imaginary parts of x and of the
     product.  Only the latest (N, spec) is kept, so a sweep over l at one N
     computes them once and memory stays flat over many N.  The product loop
-    keeps each part as a signed Python-int mantissa and an exponent and
     rounds where the mpc expressions 1 + x, 1 - y^j, prod * (1 - y^j) and
-    y^j * y round (each product: four exact products and two
-    specfun._add), so the products are the same bits."""
+    y^j * y round (four exact products and two specfun._add per product),
+    so the products are the same bits."""
     M = spec.nodes
     with mp.workprec(spec.precision + _GUARD):
         r = mp.mpf(spec.radius)
@@ -420,18 +403,18 @@ def _oracle_nodes(N: int, spec: QuadratureSpec):
 
         def node(k):
             (am, ae), (bm, be) = x = _mantissas(*(r * mp.expjpi(mp.mpf(k) / M))._mpc_)  # 2M-th roots
-            am, ae = _norm(*_add(am, ae, 1, 0, prec))  # y = 1 + x
+            am, ae = _add(am, ae, 1, 0, prec)  # y = 1 + x
             cm, ce, dm, de = am, ae, bm, be  # y^j
             pm, pe, qm, qe = 1, 0, 0, 0  # the product
             for _ in range(N):
-                um, ue = _norm(*_add(1, 0, -cm, ce, prec))  # 1 - y^j, whose imaginary part is -d
+                um, ue = _add(1, 0, -cm, ce, prec)  # 1 - y^j, whose imaginary part is -d
                 pm, pe, qm, qe = (
-                    *_norm(*_add(pm * um, pe + ue, qm * dm, qe + de, prec)),
-                    *_norm(*_add(-pm * dm, pe + de, qm * um, qe + ue, prec)),
+                    *_add(pm * um, pe + ue, qm * dm, qe + de, prec),
+                    *_add(-pm * dm, pe + de, qm * um, qe + ue, prec),
                 )
                 cm, ce, dm, de = (
-                    *_norm(*_add(cm * am, ce + ae, -dm * bm, de + be, prec)),
-                    *_norm(*_add(cm * bm, ce + be, dm * am, de + ae, prec)),
+                    *_add(cm * am, ce + ae, -dm * bm, de + be, prec),
+                    *_add(cm * bm, ce + be, dm * am, de + ae, prec),
                 )
             return *x[0], *x[1], pm, pe, qm, qe
 
@@ -462,7 +445,8 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
     with mp.workprec(spec.precision + _GUARD):
         mpc = mp.mp.make_mpc
         vals = [  # f(x) * x with f = x^{l-1}/prod
-            mpc((_raw(xr, xre), _raw(xi, xie))) ** l / mpc((_raw(pm, pe), _raw(qm, qe)))
+            mpc((from_man_exp(xr, xre), from_man_exp(xi, xie))) ** l
+            / mpc((from_man_exp(pm, pe), from_man_exp(qm, qe)))
             for xr, xre, xi, xie, pm, pe, qm, qe in nodes
         ]
         coarse = _pairwise_sum(vals[0::2]) / M

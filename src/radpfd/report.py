@@ -19,7 +19,7 @@ import mpmath as mp
 
 from .contour import _integrals
 from .exact import _to_mpf, coefficient_range, decimal_str, rational_str
-from .saddle import asymptotic_C, saddle_constants
+from .saddle import _saddle_precision, asymptotic_C, saddle_constants
 from .specfun import _GUARD, _check_precision
 
 __all__ = [
@@ -109,15 +109,15 @@ def build_rows(cfg: RunConfig):
     rows = [ComparisonRow(N, l, *[None] * 5) for N in range(cfg.n_from, min(l, cfg.n_to + 1))]
     if not Ns:
         return rows
-    sd = saddle_constants(prec) if "asymptotic" in cfg.modes else None
+    saddle = functools.cache(saddle_constants)  # one solve per precision
     window = _exact_window(Ns.start, Ns.stop - 1) if "exact" in cfg.modes else None
     integrals = _integrals(l, Ns, prec) if "integral" in cfg.modes else [None] * len(Ns)
 
     for N, integ in zip(Ns, integrals):
         q = window[N].coeff(l) if window is not None else None
         asym = abs_err = rel_err = None
-        if sd is not None:
-            asym = asymptotic_C(l, N, sd)
+        if "asymptotic" in cfg.modes:
+            asym = asymptotic_C(l, N, saddle(_saddle_precision(prec, N)))
             if q is not None:
                 exact_val = _to_mpf(q, prec + _GUARD)
                 with mp.workprec(prec + _GUARD):

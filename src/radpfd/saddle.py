@@ -124,6 +124,13 @@ def H(l: int, N, sd: SaddleData) -> mp.mpf:
         return mp.mpf(scale * (K.imag * cos - K.real * sin))
 
 
+def _saddle_precision(precision: int, N: int) -> int:
+    """Saddle precision for H and asymptotic_C at N: N theta and b^N carry
+    theta's and b's errors times N, so N's bits beyond 9 are added in steps
+    of 64 (few solves per range), keeping every N as accurate as N = 511."""
+    return precision + 64 * -(-max(0, N.bit_length() - 9) // 64)
+
+
 def asymptotic_C(l: int, N: int, sd: SaddleData) -> mp.mpf:
     """Main term b^N N^{-l-1} H_l(N) of the coefficient asymptotics."""
     if l < 1 or N < 1:

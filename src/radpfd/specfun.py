@@ -14,8 +14,9 @@ upper bound on their error alongside the value.
 
 The private helper _split_map, which the node tables of contour and saddle
 share, forks one child on hosts with 2 or more usable CPUs.  The Li2 series
-and contour's loops round signed Python-int mantissas as mpmath does, with
-_round, _add and _div, and make odd with _norm only what _add needs odd.
+and contour's loops keep signed Python-int mantissas and exponents
+(_mantissas unpacks mpmath's tuples) and round them as mpmath does: _add is
+mpf_add and _div is mpf_div by a positive integer, for any operands.
 """
 
 from __future__ import annotations
@@ -109,10 +110,15 @@ def _pi2_over_6():
     return mp.pi**2 / 6
 
 
+def _mantissas(*raw):
+    """(signed mantissa, exponent) of each raw mpf tuple."""
+    return [(-m if sign else m, e) for sign, m, e, _ in raw]
+
+
 def _round(m, e, prec):
-    """m * 2^e rounded to prec bits as mpmath's normalize rounds it, half
-    to even on |m|, to |m| < 2^prec.  Unlike normalize, it leaves trailing
-    zero bits in m; _norm moves them into e where a caller needs m odd."""
+    """m * 2^e rounded to prec bits as mpmath's normalize rounds it, for
+    any m: half to even on |m|, to |m| < 2^prec; unlike normalize, it
+    leaves trailing zero bits in m, which _add and _div take as they are."""
     n = m.bit_length() - prec
     if n > 0:
         a = -m if m < 0 else m
@@ -128,46 +134,40 @@ def _round(m, e, prec):
     return m, e
 
 
-def _norm(m, e):
-    """m * 2^e with m's trailing zero bits moved into e, so a nonzero m is odd."""
-    if m & 1 or not m:
-        return m, e
-    z = (m & -m).bit_length() - 1
-    return m >> z, e + z
-
-
 def _add(am, ae, bm, be, prec):
-    """mpf_add of am * 2^ae and bm * 2^be at prec bits: the exact sum,
-    rounded, except where the exponents are over 100 apart and the tops
-    over prec + 4 apart; there mpf_add shifts the larger operand by
-    prec + 4 and adds the sign of the smaller in its last bit.  Trailing
-    zero bits move that test, and the value only if the operand with the
-    larger exponent has over prec significant bits: so callers add two
-    operands of at most prec bits, odd or not, or two exact products of
-    odd factors."""
+    """mpf_add of am * 2^ae and bm * 2^be at prec bits, for any operands:
+    the exact sum, rounded, except where the tops (exponent plus bit
+    length) are over prec + 4 apart and the exponents of the odd mantissas
+    over 100 apart; there mpf_add shifts the larger operand's odd mantissa
+    by prec + 4 and adds the sign of the smaller in its last bit."""
     if not am:
         return _round(bm, be, prec)
     if not bm:
         return _round(am, ae, prec)
+    gap = am.bit_length() + ae - bm.bit_length() - be
+    if gap > prec + 4 or -gap > prec + 4:
+        if gap < 0:
+            am, ae, bm, be = bm, be, am, ae
+        za = (am & -am).bit_length() - 1
+        if ae + za - be - (bm & -bm).bit_length() + 1 > 100:
+            return _round(((am >> za) << (prec + 4)) + (1 if bm > 0 else -1), ae + za - prec - 4, prec)
     if ae < be:
         am, ae, bm, be = bm, be, am, ae
-    offset = ae - be
-    if offset > 100 and am.bit_length() + offset - bm.bit_length() > prec + 4:
-        return _round((am << (prec + 4)) + (1 if bm > 0 else -1), ae - prec - 4, prec)
-    return _round((am << offset) + bm, be, prec)
+    return _round((am << (ae - be)) + bm, be, prec)
 
 
-def _div(m, e, d, de, prec):
-    """mpf_div of m * 2^e, m of at most prec bits, by the odd d times 2^de
-    at prec bits: a quotient with 5 or more extra bits, its last bit set
-    when the division leaves a remainder, then rounded."""
+def _div(m, e, d, prec):
+    """mpf_div of m * 2^e by the positive integer d at prec bits, for any
+    m: a quotient of over prec + 4 bits, its last bit set when the division
+    leaves a remainder, rounded once; so the value is the quotient correctly
+    rounded, as mpf_div's is."""
     a = -m if m < 0 else m
-    extra = prec - a.bit_length() + d.bit_length() + 5
+    extra = max(5, prec - a.bit_length() + d.bit_length() + 5)
     q, r = divmod(a << extra, d)
     if r:
         q = (q << 1) + 1
         extra += 1
-    return _round(-q if m < 0 else q, e - de - extra, prec)
+    return _round(-q if m < 0 else q, e - extra, prec)
 
 
 def _series_li2(u, precision):
@@ -175,12 +175,11 @@ def _series_li2(u, precision):
 
     Stops once a term drops below 2^-(precision+8) of the accumulated
     modulus; callers guarantee u != 0 and |u| bounded away from 1, so the
-    tail is geometric.  The loop keeps each real and imaginary part as a
-    signed Python-int mantissa and an exponent, and makes the operations
-    of mpc arithmetic at the ambient precision: the four exact products
-    and two sums of mpc_mul, the quotients of mpc_div_mpf by k^2 and the
-    sums of mpc_add.  It rounds half to even, mpmath's default rounding
-    mode 'n', which the package never changes.  The exact stopping test
+    tail is geometric.  The loop makes the operations of mpc arithmetic at
+    the ambient precision on the parts' mantissas and exponents: the four
+    exact products and two sums of mpc_mul, the quotients of mpc_div_mpf
+    by k^2 and the sums of mpc_add, rounded half to even (mpmath's 'n',
+    which the package never changes).  The exact stopping test
     (two moduli, on mpmath tuples) runs on every term that could stop the
     loop; the others are passed on exponents, which prove
     |term| >= 2^(E_term - 1) > 4 * cutoff * 2^(E_acc + 1)
@@ -191,18 +190,16 @@ def _series_li2(u, precision):
     cutoff = (mp.mpf(2) ** (-(precision + 8)))._mpf_
     gap = 4 - (precision + 8)  # skip the exact test while E_term - E_acc >= gap
     inf = math.inf
-    (cm, ce), (dm, de) = [(-m if sign else m, e) for sign, m, e, _ in u._mpc_]
+    (cm, ce), (dm, de) = _mantissas(*u._mpc_)
     am, ae, bm, be = 1, 0, 0, 0  # power = a + b i
     sm, se, tm, te = 0, 0, 0, 0  # acc = s + t i
     for k in range(1, 64 * (precision + 64)):
         (am, ae), (bm, be) = (
-            _norm(*_add(am * cm, ae + ce, -bm * dm, be + de, prec)),
-            _norm(*_add(am * dm, ae + de, bm * cm, be + ce, prec)),
+            _add(am * cm, ae + ce, -bm * dm, be + de, prec),
+            _add(am * dm, ae + de, bm * cm, be + ce, prec),
         )
-        kk = k * k
-        kz = (kk & -kk).bit_length() - 1
-        xm, xe = _div(am, ae, kk >> kz, kz, prec)
-        ym, ye = _div(bm, be, kk >> kz, kz, prec)
+        xm, xe = _div(am, ae, k * k, prec)
+        ym, ye = _div(bm, be, k * k, prec)
         sm, se = _add(sm, se, xm, xe, prec)
         tm, te = _add(tm, te, ym, ye, prec)
         # E with max(|Re|, |Im|) in [2^(E-1), 2^E); a zero part counts as -inf

@@ -180,6 +180,27 @@ class TestAsymptoticAndIntegral:
         assert captured.out == ""
         assert captured.err == _NO_COEFFICIENT[tuple(argv)]
 
+    # N theta and b^N carry theta's and b's errors times N: with the saddle
+    # at the requested precision, 64 bits printed H_1(10^30) = -5.37... and
+    # 256 bits printed H_1(10^90) = 2.79...
+    @pytest.mark.parametrize(
+        "bits, N, h",
+        [("64", 10**30, "-2.2630678820557225"), ("256", 10**90, "-1.7146713287596674")],
+    )
+    def test_asymptotic_at_large_n_raises_the_saddle_precision(self, capsys, bits, N, h):
+        assert cli.main(["--prec-bits", bits, "asymptotic", "--N", str(N)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f"H_1({N}) = {h}\n")
+        assert cli.main(["--prec-bits", "1024", "asymptotic", "--N", str(N)]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_asymptotic_n_of_over_1024_bits_exits_2_before_solving(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "saddle_constants", _unsolved)
+        assert cli.main(["asymptotic", "--N", str(2**1024)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --N must be below 2^1024\n"
+
     @pytest.mark.parametrize("argv", [list(argv) for argv in _NO_COEFFICIENT])
     def test_integral_checks_arguments_before_any_node(self, capsys, monkeypatch, argv):
         def no_nodes(*args):
@@ -374,6 +395,22 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == "error: --from..--to must span at most 10000 values, got 10001\n"
 
+    def test_asymptotic_column_at_large_n_raises_the_saddle_precision(self, capsys):
+        argv = ["compare", "--from", str(10**30), "--to", str(10**30 + 1), "--modes", "asymptotic"]
+        assert cli.main(["--prec-bits", "64"] + argv) == 0
+        out = capsys.readouterr().out
+        assert cli.main(["--prec-bits", "1024"] + argv) == 0
+        assert capsys.readouterr().out == out
+        assert _read_csv(out)[0]["asymptotic"] == "-1.029606595587414e+29565101540808909846825508143"
+
+    def test_asymptotic_range_past_1024_bits_exits_2_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "saddle_constants", _unsolved)
+        argv = ["compare", "--from", str(2**1024 - 1), "--to", str(2**1024), "--modes", "asymptotic"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --to must be below 2^1024 for asymptotic values\n"
+
     def test_far_short_span_is_computed(self, capsys):
         argv = ["compare", "--from", "1000000", "--to", "1000009", "--modes", "asymptotic"]
         assert cli.main(argv) == 0
@@ -560,8 +597,9 @@ class TestPinnedOutputs:
     arc derived their fixed inputs (the integral lines: before the arc
     found its own node count; the two-mode compare lines: before
     build_rows took one row path; the disproof and exact lines and the
-    fig3 files: before asymptotic_C returned a plain mpf); the asymptotic
-    column of build_rows is pinned nowhere else."""
+    fig3 files: before asymptotic_C returned a plain mpf; the asymptotic
+    lines: before the saddle's precision rose with N past 511); the
+    asymptotic column of build_rows is pinned nowhere else."""
 
     THREE_MODES = ["compare", "--from", "1", "--to", "30", "--modes", "exact,asymptotic,integral"]
 
@@ -610,6 +648,14 @@ class TestPinnedOutputs:
             (
                 ["exact", "--N", "88", "--l", "1"],
                 "3b165a14f4b79909a840a67163fc7c0365239bc0e44fcaaec35c9dc5b276767f",
+            ),
+            (
+                ["--prec-bits", "64", "asymptotic", "--N", "500", "--l", "3"],
+                "3cfe2014defac59d9e7172b871cbf74d61fa30aedbdc55dc8c63f2549f472a82",
+            ),
+            (
+                ["asymptotic", "--N", "511"],
+                "094436692a7201d95b531997ed9f07463d1fa414a67a035c21ffc9806d055642",
             ),
         ],
     )

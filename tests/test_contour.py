@@ -252,7 +252,7 @@ class TestArcKernel:
         raw = "_mpc_" if full else "_mpf_"
         panels = nodes // contour._PANEL
         for l in (1, 2, 5):
-            for N in (1, 7, 20, 40, 64, 88, 150):  # 64: N's odd part is 1
+            for N in (1, 7, 20, 40, 64, 88, 150):  # 64: a power of two
                 got = _arc_integral(l, N, panels, prec, full)
                 want = plain_arc_integral(l, N, panels, prec, full)
                 assert getattr(got, raw) == getattr(want, raw), (l, N)
@@ -261,8 +261,8 @@ class TestArcKernel:
     # (seeds 2647 and 4545): at l = N = 1 the exponent is v, whose exponential
     # has an imaginary part below 2^-100 of its real part, and wdz's parts are
     # 2^102 to 2^104 apart, so the sums of tr and ti times wdz take mpf_add's
-    # far-operand path; ti (the first row) or tr (the second) left with zero
-    # bits moves that test and the value at 64 bits.
+    # far-operand path, the perturbed sum (the rows were found where a test
+    # made on exponents with zero bits moved the value at 64 bits).
     FAR_ROWS = (
         (0, 0, 0, 0,
          41630725229673192045783471861, -96, -46993405894239058241485570451, 6,
@@ -278,21 +278,11 @@ class TestArcKernel:
 
     @pytest.mark.parametrize("full", [False, True])
     @pytest.mark.parametrize("row", FAR_ROWS)
-    def test_a_far_exponential_needs_odd_tr_and_ti(self, monkeypatch, row, full):
+    def test_a_far_exponential_reaches_the_perturbed_sum(self, monkeypatch, row, full):
         monkeypatch.setattr(contour, "_arc_nodes", lambda *args: (row,))
         raw = "_mpc_" if full else "_mpf_"
         got, want = (getattr(f(1, 1, 1, 64, full), raw) for f in (_arc_integral, plain_arc_integral))
         assert got == want
-
-    def test_raw_tuples_have_odd_mantissas(self):
-        # the arc's rounded parts may end in zero bits; mpc_exp and make_mpf
-        # get them as raw tuples with the zero bits moved into the exponent
-        assert contour._raw(0, 5) == mp.mpf(0)._mpf_
-        for m in (1, -3, 5 << 7, -(2**300 + 1) << 64, 1 << 200):
-            for e in (-400, 0, 31):
-                sign, man, exp, bc = contour._raw(m, e)
-                assert man % 2 and bc == man.bit_length() and exp >= e
-                assert (-man if sign else man) << (exp - e) == m
 
 
 def _arc_exponents(precision):
@@ -313,10 +303,9 @@ def _arc_exponents(precision):
 
 def _assert_exp_parts_match(raw, prec):
     # the arc passes _add's parts, which may end in zero bits: shift some in
-    (am, ae), (bm, be) = contour._mantissas(*raw)
+    (am, ae), (bm, be) = specfun._mantissas(*raw)
     for k in (0, 3):
         got = contour._exp_parts(am << k, ae - k, bm << k, be - k, prec)
-        assert all(m & 1 or not m for m, _ in got), (raw, prec, k)
         assert tuple(from_man_exp(m, e) for m, e in got) == mpc_exp(raw, prec, "n"), (raw, prec, k)
 
 
@@ -469,9 +458,10 @@ class TestOracleProducts:
         contour._oracle_nodes.cache_clear()
         assert _digest(contour._oracle_nodes(N, spec)) == _digest(plain_oracle_nodes(N, spec))
 
-    def test_a_tiny_radius_needs_the_odd_factors(self):
-        # the loop variables, left with their zero bits, move the far-operand
-        # test of a product sum here (found by a seeded search over radii)
+    def test_a_tiny_radius_reaches_the_perturbed_sum(self):
+        # the loop variables' trailing zero bits would move a far-operand
+        # test made on raw exponents in a product sum here (found by a
+        # seeded search over radii)
         spec = QuadratureSpec(nodes=23, precision=64, radius=1.3968721228693326e-15)
         contour._oracle_nodes.cache_clear()
         assert _digest(contour._oracle_nodes(12, spec)) == _digest(plain_oracle_nodes(12, spec))

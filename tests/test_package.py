@@ -86,12 +86,14 @@ PRIVATE_IMPORTS = {
         "contour._arc_integral",
         "exact._to_mpf",
         "report._exact_window",
+        "saddle._saddle_precision",
         "specfun._GUARD",
         "specfun._check_precision",
     },
     "report": {
         "contour._integrals",
         "exact._to_mpf",
+        "saddle._saddle_precision",
         "specfun._GUARD",
         "specfun._check_precision",
     },
@@ -101,7 +103,7 @@ PRIVATE_IMPORTS = {
         "specfun._check_precision",
         "specfun._dilog_value",
         "specfun._div",
-        "specfun._norm",
+        "specfun._mantissas",
         "specfun._pi2_over_6",
         "specfun._round",
         "specfun._split_map",
@@ -136,7 +138,6 @@ MPMATH_INTERNALS = {
         "mpmath.libmp.mpf_mul",
     },
     "contour": {
-        "mpmath.libmp.from_int",
         "mpmath.libmp.from_man_exp",
         "mpmath.libmp.mpc_exp",
         "mpmath.libmp.libelefun.cos_sin_basecase",

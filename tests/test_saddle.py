@@ -295,6 +295,11 @@ class TestAsymptotic:
                     abs(lhs), abs(rhs), 1
                 )
 
+    def test_saddle_precision_rises_with_n_from_512(self):
+        Ns = (1, 500, 511, 512, 2**73 - 1, 2**73, 10**90)
+        got = [saddle._saddle_precision(256, N) for N in Ns]
+        assert got == [256, 256, 256, 320, 320, 384, 576]
+
     def test_rejects_bad_arguments(self, sd):
         with pytest.raises(ValueError):
             asymptotic_C(0, 10, sd)

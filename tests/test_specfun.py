@@ -216,8 +216,8 @@ def odd(rng, bits):
 def add_operands(rng, prec):
     """(am, ae, bm, be) for mpf_add at prec bits: random pairs, pairs of
     products on both sides of the perturbation thresholds (the tops
-    prec + 4 apart, the exponents 100 apart), rounding ties far above a
-    tiny operand, and exact ties."""
+    prec + 4 apart, the exponents of the odd mantissas 100 apart), rounding
+    ties far above a tiny operand, and exact ties."""
     for _ in range(300):
         am, bm = odd(rng, rng.randint(1, 2 * prec)), odd(rng, rng.randint(1, 2 * prec))
         yield am, rng.randint(-3 * prec, 3 * prec), bm, 0
@@ -238,23 +238,53 @@ def add_operands(rng, prec):
         yield odd(rng, prec + 1), 0, 0, 0  # rounds to the even neighbour
 
 
+def pad(rng, m, e):
+    """m * 2^e with 0 to 120 zero bits shifted into m."""
+    t = rng.randint(0, 120)
+    return m << t, e - t
+
+
 class TestSeriesLi2:
     @pytest.mark.parametrize("prec", [96, 160, 288, 544])
     def test_steps_round_as_libmpf(self, prec):
         rng = random.Random(prec)
         for am, ae, bm, be in add_operands(rng, prec):
-            m, e = specfun._add(am, ae, bm, be, prec)
-            assert abs(m) < 1 << prec
             want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
-            assert from_man_exp(m, e) == want, (am, ae, bm, be)
+            # the operands as given, with zero bits (short and wide ones),
+            # and rounded to prec bits with zero bits
+            short = [specfun._round(am, ae, prec), specfun._round(bm, be, prec)]
+            short_want = mpf_add(*(from_man_exp(*x) for x in short), prec, round_nearest)
+            for a, b, w in (
+                ((am, ae), (bm, be), want),
+                (pad(rng, am, ae), pad(rng, bm, be), want),
+                (pad(rng, *short[0]), pad(rng, *short[1]), short_want),
+            ):
+                m, e = specfun._add(*a, *b, prec)
+                assert abs(m) < 1 << prec
+                assert from_man_exp(m, e) == w, (a, b)
         for _ in range(1000):
-            am, ae = odd(rng, rng.randint(1, prec)), rng.randint(-prec, prec)
+            am, ae = pad(rng, odd(rng, rng.randint(1, prec)), rng.randint(-prec, prec))
             k = rng.randint(1, 5000)
-            kz = (k * k & -(k * k)).bit_length() - 1
-            m, e = specfun._div(am, ae, k * k >> kz, kz, prec)
+            m, e = specfun._div(am, ae, k * k, prec)
             assert abs(m) < 1 << prec
             want = mpf_div(from_man_exp(am, ae), from_int(k * k), prec, round_nearest)
             assert from_man_exp(m, e) == want, (am, ae, k)
+
+    @pytest.mark.parametrize("prec", [64, 1056])
+    def test_add_at_the_perturbation_thresholds(self, prec):
+        # tops prec + 3 to prec + 6 apart, the odd mantissas' exponents 99
+        # to 102 apart, each operand with 0, 1 or 100 zero bits, either sign
+        rng = random.Random(-prec - 1)
+        for top_gap in range(prec + 3, prec + 7):
+            for exp_gap in range(99, 103):
+                for _ in range(20):
+                    wa = rng.randint(max(1, top_gap - exp_gap + 1), 2 * prec)
+                    a, b = (odd(rng, wa), 0), (odd(rng, wa + exp_gap - top_gap), -exp_gap)
+                    want = mpf_add(from_man_exp(*a), from_man_exp(*b), prec, round_nearest)
+                    za, zb = rng.choice((0, 1, 100)), rng.choice((0, 1, 100))
+                    a, b = (a[0] << za, a[1] - za), (b[0] << zb, b[1] - zb)
+                    for x, y in ((a, b), (b, a)):
+                        assert from_man_exp(*specfun._add(*x, *y, prec)) == want, (x, y)
 
     @pytest.mark.parametrize("prec", [96, 544])
     def test_a_carry_keeps_the_mantissa_below_2_to_the_prec(self, prec):
@@ -262,46 +292,9 @@ class TestSeriesLi2:
             m, e = specfun._round(sign * ((1 << prec + 1) - 1), 0, prec)
             assert abs(m) < 1 << prec and m << e == sign << prec + 1
 
-    @pytest.mark.parametrize("prec", [96, 160, 288, 544])
-    def test_short_operands_may_end_in_zero_bits(self, prec):
-        """The kernels leave rounded mantissas unnormalised and make odd only
-        the factors of the exact products that _add sums: zero bits on
-        operands of at most prec bits keep mpf_add's value when both
-        operands are that short, and zero bits on a wide operand move it."""
-        rng = random.Random(-prec)
-
-        def pad(m, e):  # up to prec bits wide if it fits, else 1 to 8 zero bits
-            width = m.bit_length()
-            t = rng.randint(0, prec - width) if width <= prec else rng.randint(1, 8)
-            return m << t, e - t
-
-        moved = 0
-        for am, ae, bm, be in add_operands(rng, prec):
-            want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
-            a = pad(am, ae) if am.bit_length() > prec else (am, ae)
-            b = pad(bm, be) if bm.bit_length() > prec else (bm, be)
-            moved += from_man_exp(*specfun._add(*a, *b, prec)) != want
-            # the same pair rounded to prec bits, so both operands are short
-            (am, ae), (bm, be) = specfun._round(am, ae, prec), specfun._round(bm, be, prec)
-            want = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
-            got = specfun._add(*pad(am, ae), *pad(bm, be), prec)
-            assert from_man_exp(*got) == want, (am, ae, bm, be)
-        assert moved  # padded wide operands reach the exponent test
-
-    @pytest.mark.parametrize("prec", [160, 544])
-    def test_a_short_operand_beside_a_wide_one_must_be_odd(self, prec):
-        # the wide odd operand's bits below the rounding point sit 1 above the
-        # half-way point, and the short one pulls the exact sum below it; with
-        # 100 zero bits (110 bits wide) the short one meets the far-operand
-        # test, which adds only its sign
-        wide, short = 1 << 2 * prec - 1 | 1 << prec - 1 | 1, (-701, -5)
-        want = mpf_add(from_man_exp(wide, 0), from_man_exp(*short), prec, round_nearest)
-        assert from_man_exp(*specfun._add(wide, 0, *short, prec)) == want
-        assert from_man_exp(*specfun._add(wide, 0, -701 << 100, -105, prec)) != want
-
-    def test_the_power_is_made_odd(self):
-        # near the real axis; left with its zero bits, the power moves the
-        # far-operand test of a product sum and so the sum's last bits
+    def test_a_power_near_the_real_axis_reaches_the_perturbed_sum(self):
+        # the power's trailing zero bits would move a far-operand test made
+        # on raw exponents in a product sum, and so the sum's last bits
         # (found by a seeded search over u = c + d i, d about 2^-149 with a
         # 98-bit mantissa)
         cm = 306005874931705488033026213338502016428051732353317624805500855640742455926610086003783
@@ -324,7 +317,9 @@ class TestSeriesLi2:
 
         def spy(am, ae, bm, be, p):
             if am and bm:
-                offset, top = ae - be, am.bit_length() + ae - bm.bit_length() - be
+                # the exponents of the odd mantissas, as mpf_add sees them
+                offset = ae + (am & -am).bit_length() - be - (bm & -bm).bit_length()
+                top = am.bit_length() + ae - bm.bit_length() - be
                 perturbed.append(abs(offset) > 100 and abs(top) > p + 4 and offset * top > 0)
             return add(am, ae, bm, be, p)
 
@@ -338,8 +333,7 @@ class TestSeriesLi2:
 class TestContourSteps:
     """_round and _div in the steps of contour's arc sum, oracle products and
     Legendre recurrence: _round stands in for mpf_mul and mpf_mul_int, and
-    _div divides by N's or j's odd part and power of two, or by an odd
-    mantissa of up to prec bits."""
+    _div divides by N or j, or by any positive integer of up to 2 prec bits."""
 
     @pytest.mark.parametrize("prec", [96, 160, 288, 544])
     def test_round_as_mpf_mul_and_mpf_mul_int(self, prec):
@@ -362,14 +356,16 @@ class TestContourSteps:
     @pytest.mark.parametrize("prec", [96, 160, 288, 544])
     def test_div_as_mpf_div(self, prec):
         rng = random.Random(prec + 1)
-        # the odd part and power of two of N <= 500 (of 64: 1 and 6) and j <= 32
-        divisors = [from_int(n)[1:3] for n in range(1, 501)]
-        divisors += [(abs(odd(rng, rng.randint(1, prec))), rng.randint(-prec, prec)) for _ in range(200)]
-        for d, de in divisors:
-            m, e = odd(rng, rng.randint(1, prec)), rng.randint(-prec, prec)
-            got = specfun._div(m, e, d, de, prec)
-            want = mpf_div(from_man_exp(m, e), from_man_exp(d, de), prec, round_nearest)
-            assert from_man_exp(*got) == want, (m, e, d, de)
+        # N <= 500 and j <= 32, odd and even, then odd ones and even ones of
+        # up to prec bits with up to prec zero bits
+        divisors = list(range(1, 501))
+        for _ in range(200):
+            divisors.append(abs(odd(rng, rng.randint(1, prec))) << rng.choice((0, rng.randint(1, prec))))
+        for d in divisors:
+            m, e = pad(rng, odd(rng, rng.randint(1, prec)), rng.randint(-prec, prec))
+            got = specfun._div(m, e, d, prec)
+            want = mpf_div(from_man_exp(m, e), from_int(d), prec, round_nearest)
+            assert from_man_exp(*got) == want, (m, e, d)
 
 
 class TestJonquiere:
