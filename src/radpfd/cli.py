@@ -177,7 +177,7 @@ def cmd_constants(args) -> int:
     sd = saddle_constants(prec)
     for name in ("z0", "a", "rho", "b", "theta", "p", "alpha"):
         print(f"{name:6s} = {mp.nstr(getattr(sd, name), d)}")
-    with mp.workprec(prec):
+    with mp.workprec(prec + _GUARD):
         print(f"b^p    = {mp.nstr(sd.b**sd.p, d)}")
     return 0
 
@@ -262,9 +262,7 @@ def write_figures(configs, out_dir: Path, emit_svg: bool):
             written.append(path)
             if emit_svg:
                 other = "asymptotic" if "asymptotic" in cfg.modes else "integral"
-                exact_pts = [
-                    (r.N, mp.mpf(decimal_str(r.exact))) for r in rows if r.exact is not None
-                ]
+                exact_pts = [(r.N, r.exact) for r in rows if r.exact is not None]
                 other_pts = [
                     (r.N, getattr(r, other)) for r in rows if getattr(r, other) is not None
                 ]

@@ -57,13 +57,14 @@ def _solve_saddle(precision: int) -> mp.mpc:
 
     Plain Newton steps; from 64 to 1024 bits each lowers |phi| and no
     iterate lies farther than 0.006 from the start.  Returns once
-    |phi(z)| < 2^-(precision-16).  The root is simple and unique within
-    distance 1 of the start (argument_principle_count); fails on an
-    iterate farther out, before evaluating phi there, or after 100 steps.
+    |phi(z)| < 2^-(precision+8), where z carries its precision bits.  The
+    root is simple and unique within distance 1 of the start
+    (argument_principle_count); fails on an iterate farther out, before
+    evaluating phi there, or after 100 steps.
     """
     with mp.workprec(precision + _GUARD):
         z = start = mp.mpc(_INITIAL)
-        target = mp.mpf(2) ** (-(precision - 16))
+        target = mp.mpf(2) ** -(precision + 8)
         fz, dfz = _phi_pair(z, precision)
         for _ in range(100):
             if abs(fz) < target:

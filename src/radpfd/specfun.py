@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpc_abs, mpf_lt, mpf_mul
+from mpmath.libmp import from_man_exp
 
 __all__ = [
     "EvalResult",
@@ -179,15 +179,15 @@ def _series_li2(u, precision):
     the ambient precision on the parts' mantissas and exponents: the four
     exact products and two sums of mpc_mul, the quotients of mpc_div_mpf
     by k^2 and the sums of mpc_add, rounded half to even (mpmath's 'n',
-    which the package never changes).  The exact stopping test
-    (two moduli, on mpmath tuples) runs on every term that could stop the
-    loop; the others are passed on exponents, which prove
+    which the package never changes).  The plain loop's stopping test,
+    abs(term) < cutoff * abs(acc) on mpc values, runs on every term that
+    could stop the loop; the others are passed on exponents, which prove
     |term| >= 2^(E_term - 1) > 4 * cutoff * 2^(E_acc + 1)
     > 4 * cutoff * |acc|, a margin no rounding of the exact test erases.
     So the terms summed and the sum are the bits of the plain mpc loop.
     """
-    prec, rnd = mp.mp._prec_rounding
-    cutoff = (mp.mpf(2) ** (-(precision + 8)))._mpf_
+    prec = mp.mp.prec
+    cutoff = mp.mpf(2) ** -(precision + 8)
     gap = 4 - (precision + 8)  # skip the exact test while E_term - E_acc >= gap
     inf = math.inf
     (cm, ce), (dm, de) = _mantissas(*u._mpc_)
@@ -206,13 +206,10 @@ def _series_li2(u, precision):
         e_term = max(xe + xm.bit_length() if xm else -inf, ye + ym.bit_length() if ym else -inf)
         e_acc = max(se + sm.bit_length() if sm else -inf, te + tm.bit_length() if tm else -inf)
         if e_term - e_acc < gap:
-            term = (from_man_exp(xm, xe), from_man_exp(ym, ye))
-            acc = (from_man_exp(sm, se), from_man_exp(tm, te))
-            if mpf_lt(
-                mpc_abs(term, prec, rnd),
-                mpf_mul(cutoff, mpc_abs(acc, prec, rnd), prec, rnd),
-            ):
-                return mp.mp.make_mpc(acc)
+            term = mp.mp.make_mpc((from_man_exp(xm, xe), from_man_exp(ym, ye)))
+            acc = mp.mp.make_mpc((from_man_exp(sm, se), from_man_exp(tm, te)))
+            if abs(term) < cutoff * abs(acc):
+                return acc
     raise RuntimeError("dilogarithm series failed to converge")
 
 

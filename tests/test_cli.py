@@ -42,7 +42,12 @@ class TestConstants:
         assert captured.out == ""
         assert "--digits must be at least 1" in captured.err
 
-    @pytest.mark.parametrize("prec, digits", [(64, 18), (128, 37), (256, 76)])
+    @pytest.mark.parametrize(
+        "prec, digits",
+        # 72..280: where z0 stopped about 16 bits short of prec, or b^p was
+        # taken without guard bits
+        [(64, 18), (72, 20), (80, 23), (128, 37), (144, 42), (256, 76), (272, 80), (280, 83)],
+    )
     def test_digits_are_carried_by_the_precision(self, capsys, prec, digits):
         # every printed value within one unit in its last place of the 2*prec solve
         argv = ["--prec-bits", str(prec), "constants", "--digits"]
@@ -663,6 +668,58 @@ class TestPinnedOutputs:
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # the stdout of every pointwise query the benchmark checks (N = 88,
+    # l = 1..8) but the two pinned above
+    POINTWISE = {
+        ("exact", 2): "dc0d775d5abe2ab5dd9cd00edc2a8dd171446779a57b60f5ecf65ecd00d8faf4",
+        ("exact", 3): "6cf0dc7015782750c0c08c9e088985bc71586935f451c7d714a6043d50c30f77",
+        ("exact", 4): "ece1b2e26e30f1a4b1735e33ea03640c62bf9782e3c738b292349010ec92c907",
+        ("exact", 5): "3fe0c2d566082331cfe8a47690ef00c58d4df71295702556c6af657923544edd",
+        ("exact", 6): "42f9048dda1fc26917116e1b09bd7d41ffccf1634656439bb57f2995b758372d",
+        ("exact", 7): "ee32d3b64351b3f509682bb142c05c83ef631b19c44e82395f60dde93d560b8f",
+        ("exact", 8): "e8a5e8c8429dcfe9997a41283e59040335e640f75199bc5c83a75c655a52c1bb",
+        ("exact --float-exact", 1): "d1b47c4694d92f0735a7d083ec3c64639e9fcaeb80dcf0804a31132512bd3304",
+        ("exact --float-exact", 2): "e8af133c894f2cc52dec24c690b4bae2b49687aaca7430b1d822a122d1fd443f",
+        ("exact --float-exact", 3): "d0579ae95eb1eef4cd5da28ab96b0f272d3e8b04e662eac4785ef4b7d2ae8dd6",
+        ("exact --float-exact", 4): "2a6448b64a9b51af71d50c189cf54cb575b2f09856387193614080a44b8c9785",
+        ("exact --float-exact", 5): "93a03cc94d86c9c8f99556cef972495bf8e45d3d609b8f8427ade0e42791995e",
+        ("exact --float-exact", 6): "f695cec0ba37ef5c462eccf2f00358b4cf3afa0b69d72d58a4a5e15de5078996",
+        ("exact --float-exact", 7): "ec4f809ab5e4932e99351cd443c057aa512d277852793d0b6f5e74cf427e265a",
+        ("exact --float-exact", 8): "ffee9fdc5bf8b1695b9463475afdd866e3dd361f7a9a28721b7448340f3f700f",
+        ("asymptotic", 1): "ef7d68cdde23620c410a2bb9fc84018ef5cfffbe87e5d7483b2f2263e019aab8",
+        ("asymptotic", 2): "f3c78c683d096c20de252acce2b3f20ac88fc209378be8df76e6e6a10ec68a91",
+        ("asymptotic", 3): "f56e2fa126cd4f0b405a4a368e2c93ba4def2a1b7995e9aaf389a38973390de6",
+        ("asymptotic", 4): "00cd1f508a9f44cf0e7de4de62f82154754406135052a3ad41cbd0a22c2f9da5",
+        ("asymptotic", 5): "df8ad2c5b17df621eb5917faf17d8720a0b6b581544fc756ace7b618af0ee29e",
+        ("asymptotic", 6): "b9c6602db0630c8b1b75baef0e4ba9ee1a93a67b94f6ffcccc7204558a8e6ed4",
+        ("asymptotic", 7): "ad8a4816488dd03e0871c784936589e38b746fca9b16a854c90fd76fe45a9c3f",
+        ("asymptotic", 8): "d76485ec205dc4ad8ce17b13ec99bc27c432880c8df829201b97fa73d126a6ec",
+        ("integral", 1): "ec10bf104083f2287bbb0d7a280364a5eddb6fc7f4554e5a83fd27d2f9fc85a2",
+        ("integral", 2): "3e23ac1be6a907c89bb6cec5f917f1aa20ad6250447be1fc63101f4e1e15f40e",
+        ("integral", 4): "265e1404762641f499b66aea14469479e4bd949f6b83e89fe3691d89fca93af4",
+        ("integral", 5): "5c22815dbe7f29b1826dfd6dba015f7276ae2801001489bbb1e8f8c11590750c",
+        ("integral", 6): "b43e2be3279e28e0fbf7edfb11a7badc2a89df68d76e67982e4775ed359c3740",
+        ("integral", 7): "ef0d8684795d76f34074621132665651d59181078f9042271abc4171104aef08",
+        ("integral", 8): "cce5560a5ee0e9dac8c0f3e6b150ccb69a63c3669c87f83421f5d722abadc2ea",
+    }
+
+    def test_pointwise_digests(self, capsys):
+        found = {}
+        for command, l in self.POINTWISE:
+            assert cli.main(command.split() + ["--N", "88", "--l", str(l)]) == 0
+            found[command, l] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert found == self.POINTWISE
+
+    def test_fig1_and_fig2_file_digests(self, tmp_path):
+        configs = [c for c in report.figure_configs() if c[0] in ("fig1", "fig2")]
+        paths = cli.write_figures(configs, tmp_path, emit_svg=True)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == {
+            "fig1.csv": "3ab2bafe95dd924894681eb79e01b3335b620a7821ea4698660e39c4a35420f1",
+            "fig1.svg": "de1e4ba7c640c3f7b4f91eb250067e448c35ce49bae064a5467b8709c4d2d75d",
+            "fig2.csv": "756285bcd8580ded1fd7c536d9ca61bf7ea02d0badd0b52d02a6143e7471c585",
+            "fig2.svg": "c850755ae5a3dacca2a119d8162ca142a376f4ab72694331fd96eec43f414b31",
+        }
 
     def test_fig3_file_digests(self, tmp_path):
         # fig3 over N = 1..40, the window the benchmark's quadrature
