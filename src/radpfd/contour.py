@@ -7,7 +7,8 @@ approximation integrates
 
 over the left half of the circle |z| = 5 (composite Gauss-Legendre),
 exploiting conjugate symmetry to halve the arc, and doubles the node
-count until two successive counts agree.  The Cauchy oracle recovers the
+count, from 32 nodes for N <= 80 and l <= (N + 1)/2 and from 64
+elsewhere, until two successive counts agree.  The Cauchy oracle recovers the
 exact coefficient as (1/2 pi i) times the loop integral of
 x^{l-1} prod_{j<=N} (1 - (x+1)^j)^{-1} around a small circle inside the
 pole-free annulus (trapezoid rule, spectrally accurate).  Its default
@@ -39,9 +40,10 @@ monotonicity witness) are built by specfun._split_map: on hosts with 2 or
 more usable CPUs it forks one child, which computes every other node at
 the same working precision (it pipes back the arc and oracle rows as
 ints), so the tables are the bits of the serial loop.  The arc integrals
-of a sweep over N (_integrals, which report.build_rows uses) run the
-largest N here, so its tables are built once and split, and then split
-the other N the same way; the child inherits the warm tables.
+of a sweep over N (_integrals, which report.build_rows uses) run here
+the largest N of each ladder start (1 or 2 panels) and working
+precision, so every table is built once and split, and then split the
+other N the same way; the child inherits the warm tables.
 
 The arc sum, the oracle's products and the Legendre recurrence keep each
 part as a signed Python-int mantissa and an exponent and round with
@@ -92,13 +94,20 @@ __all__ = [
     "constant_c_euler_check",
 ]
 
-# The arc is a row of Gauss-Legendre panels of _PANEL nodes each.  It doubles
-# its panel count from _FIRST_PANELS, up to _MAX_PANELS, until the relative
-# doubling delta is at most _REL_TOL.
+# The arc is a row of Gauss-Legendre panels of _PANEL nodes each.  Its
+# ladder doubles the panel count from _first_panels(l, N), up to
+# _MAX_PANELS, until the relative doubling delta is at most _REL_TOL.  It
+# starts at one panel up to N = _ONE_PANEL_MAX_N for l <= (N + 1)/2, where
+# the 2-panel value it then returns is within 1e-23 of the 4-panel one,
+# and at two panels elsewhere (integral_approx_C gives the measurements).
 _PANEL = 32
-_FIRST_PANELS = 2
+_ONE_PANEL_MAX_N = 80
 _MAX_PANELS = 64
 _REL_TOL = 1e-6
+
+
+def _first_panels(l: int, N: int) -> int:
+    return 1 if N <= _ONE_PANEL_MAX_N and 2 * l <= N + 1 else 2
 
 
 @dataclass(frozen=True)
@@ -325,13 +334,40 @@ def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
         return mp.mpf(sign * 2 * imag / norm)
 
 
+def _arc_precision(N: int, precision: int) -> int:
+    """precision raised by the least multiple of 64 bits that makes the
+    working precision, precision + _GUARD, at least 64 + ceil(0.4 N)."""
+    return precision + 64 * max(0, math.ceil((64 + math.ceil(0.4 * N) - _GUARD - precision) / 64))
+
+
 def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
     """Arc approximation at a node count found by doubling.
 
-    Evaluates at 64 and 128 nodes (2 and 4 panels) and doubles again
-    while the two latest values differ by more than 1e-6 relative (floor
-    2^-(precision/2)); returns the finer value of the first pair that
-    agrees.  Raises ArithmeticError when 2048 nodes still fail the test.
+    Evaluates at 32 and 64 nodes (1 and 2 panels) where N <= 80 and
+    l <= (N + 1)/2, and at 64 and 128 nodes (2 and 4 panels) elsewhere,
+    and doubles again while the two latest values differ by more than
+    1e-6 relative (floor 2^-(precision/2)); returns the finer value of
+    the first pair that agrees.  Raises ArithmeticError when 2048 nodes
+    still fail the test.
+
+    The start rule is a measured property of the integrand (256 bits).
+    At l = 1 the 32- and 64-node values differ by 6.6e-19 relative at
+    N = 40, 2.1e-9 at N = 80, 9.9e-8 at N = 82, 1.5e-5 at N = 88 and
+    5.6e-3 at N = 94; from N = 85 on by more than 1e-6.  Over N <= 80 and
+    l <= (N + 1)/2 they differ by at most 7.8e-9 (l = 1, N = 79), and the
+    64-node value is within 7.3e-24 of the 128-node value, which the
+    ladder returned before it started at one panel: so these ladders
+    stop one level earlier on the same 17 printed digits at 128 and 256
+    bits.  Above l = (N + 1)/2 the 1-panel pair is no guide.  Its
+    relative delta is 3.7e-6 at (l, N) = (48, 60), 5.6e8 at (64, 70) and
+    3.8e2 at (64, 80), but those values lie below the floor, so the pair
+    would pass with a 64-node value 6.8e-16, 2.2e-7 and 1.5e-12 off the
+    128-node one, and at (80, 80) with the wrong sign.  Where it passes
+    on the relative test, as at (20, 21) (1.4e-10), the 64-node value can
+    still differ in the 17th digit (1.4e-17).  The 64- and 128-node values
+    differ by less than 1e-20 for every l < 0.66N, and by 1.0e-20 at
+    (53, 80).  Those ladders and every N > 80 start at 2 panels as
+    before, with the same bits.
 
     The doubling test bounds only the quadrature error, not that of the
     approximation, whose relative error against the exact C(N, l) grows
@@ -355,8 +391,8 @@ def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
     is the bits of integral_approx_C(1, 450, 256).
     """
     _check_precision(precision)
-    precision += 64 * max(0, math.ceil((64 + math.ceil(0.4 * N) - _GUARD - precision) / 64))
-    panels = _FIRST_PANELS
+    precision = _arc_precision(N, precision)
+    panels = _first_panels(l, N)
     coarse = _arc_integral(l, N, panels, precision, False)
     while True:
         panels *= 2
@@ -377,16 +413,21 @@ def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
 def _integrals(l: int, Ns, precision: int):
     """[integral_approx_C(l, N, precision) for N in Ns], Ns nonempty.
 
-    The largest N runs here first, so the node tables of the longest
-    ladder are built once, each split across the CPUs; specfun._split_map
-    then splits the other N, and a forked child inherits the warm tables.
-    An N whose ladder fails raises here; with several failing N, which one
-    the error names may differ from the serial loop."""
+    The N of one ladder start and one working precision share their node
+    tables.  The largest N of each such group runs here first, largest
+    first, so each group's tables are built once, each split across the
+    CPUs; specfun._split_map then splits the other N, and a forked child
+    inherits the warm tables.  An N whose ladder fails raises here; with
+    several failing N, which one the error names may differ from the
+    serial loop."""
     Ns = list(Ns)
-    top = Ns.index(max(Ns))
-    head = integral_approx_C(l, Ns[top], precision)
-    rest = _split_map(lambda N: integral_approx_C(l, N, precision), Ns[:top] + Ns[top + 1 :])
-    return rest[:top] + [head] + rest[top:]
+    heads = {}
+    for N in Ns:
+        key = _first_panels(l, N), _arc_precision(N, precision)
+        heads[key] = max(heads.get(key, N), N)
+    here = {N: integral_approx_C(l, N, precision) for N in sorted(heads.values(), reverse=True)}
+    rest = iter(_split_map(lambda N: integral_approx_C(l, N, precision), [N for N in Ns if N not in here]))
+    return [here[N] if N in here else next(rest) for N in Ns]
 
 
 @functools.lru_cache(maxsize=1)

@@ -603,8 +603,10 @@ class TestPinnedOutputs:
     found its own node count; the two-mode compare lines: before
     build_rows took one row path; the disproof and exact lines and the
     fig3 files: before asymptotic_C returned a plain mpf; the asymptotic
-    lines: before the saddle's precision rose with N past 511); the
-    asymptotic column of build_rows is pinned nowhere else."""
+    lines: before the saddle's precision rose with N past 511; the
+    integral columns over N = 1..80: before the arc ladder started at
+    one panel); the asymptotic column of build_rows is pinned nowhere
+    else."""
 
     THREE_MODES = ["compare", "--from", "1", "--to", "30", "--modes", "exact,asymptotic,integral"]
 
@@ -661,6 +663,18 @@ class TestPinnedOutputs:
             (
                 ["asymptotic", "--N", "511"],
                 "094436692a7201d95b531997ed9f07463d1fa414a67a035c21ffc9806d055642",
+            ),
+            (
+                ["compare", "--from", "1", "--to", "80", "--l", "1", "--modes", "integral"],
+                "be0bcbeb5eaead5cc1888fd76e8fc172cc33266ed705ff295e28c6c16b2d1194",
+            ),
+            (
+                ["compare", "--from", "1", "--to", "80", "--l", "3", "--modes", "integral"],
+                "797cc8960d13743ea871e8b5bf1b0c4dfdb6026395f6224036853e358b115994",
+            ),
+            (
+                ["compare", "--from", "1", "--to", "80", "--l", "8", "--modes", "integral"],
+                "5d991971fdc895d1c4c63fa429b52aa1d3dce2ccd5630efa38a9732e36419c7e",
             ),
         ],
     )

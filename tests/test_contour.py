@@ -418,6 +418,7 @@ def _digest(table):
 # mpmath's libmpc calls. A kernel that drifts together with its in-test
 # reference still changes these.
 ARC_NODE_DIGESTS = {
+    1: "af4a162f560a5642c397602252cee803e1985774a58e50ad55ef221c028668d6",
     2: "8b78ada134fb987872c4f3a6d9a23b5eef0354280301494f29099eabf510f133",
     4: "56386357f48a53235d19fa09a21559730aec96fd8af06b342e375a978d564fbb",
 }
@@ -526,9 +527,10 @@ class TestSplitMap:
 
 
 class TestNodeLadder:
-    """integral_approx_C doubles 2 -> 4 -> ... -> 64 panels of 32 nodes
-    (64 -> 128 -> ... -> 2048 nodes) until two successive counts agree to
-    1e-6 relative."""
+    """integral_approx_C doubles 1 -> 2 -> ... -> 64 panels of 32 nodes
+    (32 -> 64 -> ... -> 2048 nodes) for N <= 80 and l <= (N + 1)/2,
+    and 2 -> 4 -> ... -> 64 panels elsewhere, until two successive counts
+    agree to 1e-6 relative."""
 
     def test_converged_value_past_the_first_doubling(self):
         # 64 and 128 nodes differ by 5e12 relative at N = 225
@@ -537,8 +539,8 @@ class TestNodeLadder:
         with mp.workprec(PREC):
             assert abs(got - ref) < mp.mpf("1e-12") * abs(ref)
 
-    @pytest.mark.parametrize("N, counts", [(100, [2, 4]), (175, [2, 4, 8])])
-    def test_stops_at_the_first_pair_that_agrees(self, monkeypatch, N, counts):
+    @staticmethod
+    def panel_counts(monkeypatch, l, N):
         seen = []
         arc_nodes = contour._arc_nodes
 
@@ -547,8 +549,41 @@ class TestNodeLadder:
             return arc_nodes(panels, precision, full)
 
         monkeypatch.setattr(contour, "_arc_nodes", spy)
-        integral_approx_C(1, N, PREC)
-        assert seen == counts
+        integral_approx_C(l, N, PREC)
+        return seen
+
+    @pytest.mark.parametrize(
+        "N, counts", [(100, [2, 4]), (175, [2, 4, 8]), (40, [1, 2]), (80, [1, 2])]
+    )
+    def test_stops_at_the_first_pair_that_agrees(self, monkeypatch, N, counts):
+        assert self.panel_counts(monkeypatch, 1, N) == counts
+
+    @pytest.mark.parametrize(
+        "l, N, counts",
+        [
+            (40, 79, [1, 2]),  # l = (N + 1)/2
+            (40, 80, [1, 2]),
+            (41, 80, [2, 4]),
+            # 32 and 64 nodes differ by 4e2 relative, below the floor
+            (64, 80, [2, 4]),
+        ],
+    )
+    def test_one_panel_start_for_l_up_to_half_of_n_plus_1(self, monkeypatch, l, N, counts):
+        assert self.panel_counts(monkeypatch, l, N) == counts
+
+    def test_one_panel_start_is_within_1e_20_of_128_nodes(self):
+        # where the ladder starts at 32 nodes, its 64-node values differ
+        # from the 128-node ones by at most 7.3e-24 relative
+        with mp.workprec(PREC):
+            for N in range(1, 81):
+                for l in range(1, 9):
+                    got = integral_approx_C(l, N, PREC)
+                    ref = _arc_integral(l, N, 4, PREC, False)
+                    assert abs(got - ref) <= mp.mpf("1e-20") * abs(ref), (l, N)
+
+    @pytest.mark.parametrize("l, N", [(1, 81), (1, 88), (8, 88), (41, 80), (80, 80)])
+    def test_a_two_panel_start_returns_the_128_node_value(self, l, N):
+        assert integral_approx_C(l, N, PREC)._mpf_ == _arc_integral(l, N, 4, PREC, False)._mpf_
 
     def test_converges_at_450_within_a_tenth_of_a_percent(self):
         # 512 and 1024 nodes differ by 4.75 relative at N = 450; 1024 and 2048
@@ -591,6 +626,53 @@ class TestIntegrals:
         got = contour._integrals(1, Ns, 64)
         assert here[0] == max(Ns)
         assert [v._mpf_ for v in got] == [approx(1, N, 64)._mpf_ for N in Ns]
+
+    @staticmethod
+    def tables_at_fork(monkeypatch, Ns, rest, precision):
+        """The (panels, precision) of the arc tables this process built
+        before _integrals forked for `rest`, and those it built in all;
+        the values must be the serial loop's."""
+        built, at_fork = [], []
+        contour._arc_nodes.cache_clear()
+        arc_nodes, split_map = contour._arc_nodes, contour._split_map
+
+        def nodes_spy(panels, precision, full):
+            misses = arc_nodes.cache_info().misses
+            table = arc_nodes(panels, precision, full)
+            if arc_nodes.cache_info().misses > misses:
+                built.append((panels, precision))  # a forked child appends to its own copy
+            return table
+
+        def split_spy(fn, items):
+            items = list(items)
+            if items == rest:
+                at_fork.append(list(built))
+            return split_map(fn, items)
+
+        monkeypatch.setattr(contour, "_arc_nodes", nodes_spy)
+        monkeypatch.setattr(contour, "_split_map", split_spy)
+        got = contour._integrals(1, Ns, precision)
+        assert [v._mpf_ for v in got] == [integral_approx_C(1, N, precision)._mpf_ for N in Ns]
+        return at_fork, built
+
+    def test_a_range_across_both_starts_builds_their_tables_before_the_fork(
+        self, monkeypatch, two_cpus
+    ):
+        # at 64 bits N = 79, 80 start at 1 panel with 96 working bits and
+        # N = 81, 82 at 2 panels with 160
+        at_fork, built = self.tables_at_fork(monkeypatch, [79, 82, 80, 81], [79, 81], 64)
+        assert at_fork == [[(2, 128), (4, 128), (1, 64), (2, 64)]] == [built]
+
+    def test_each_working_precision_builds_its_tables_before_the_fork(
+        self, monkeypatch, two_cpus
+    ):
+        # a stand-in precision rule that raises 64 bits from N = 25 on
+        def raised(N, precision):
+            return precision + 64 * (N >= 25)
+
+        monkeypatch.setattr(contour, "_arc_precision", raised)
+        at_fork, built = self.tables_at_fork(monkeypatch, [20, 27, 24, 26], [20, 26], 64)
+        assert at_fork == [[(1, 128), (2, 128), (1, 64), (2, 64)]] == [built]
 
 
 class TestMonotoneExponent:
