@@ -19,6 +19,7 @@ import mpmath as mp
 from .contour import (
     QuadratureSpec,
     _arc_integral,
+    _full_arc_integral,
     cauchy_oracle,
     check_lower_bound_inequality,
     check_monotone_exponent,
@@ -374,11 +375,11 @@ def run_checks(precision: int = 256):
     dev = constant_c_euler_check()
     ok = dev < mp.mpf("1e-3")
     yield "c consistent with direct quadrature", ok, f"relative deviation = {mp.nstr(dev, 3)}"
-    full = _arc_integral(1, 20, 2, precision, full=True)
+    full = _full_arc_integral(1, 20, 2, precision)
     ok = abs(full.imag) < loose * max(1, abs(full))
     yield "arc integral real before the cast", ok, f"Im = {mp.nstr(abs(full.imag), 3)}"
-    v64 = _arc_integral(1, 20, 2, precision, full=False)
-    v128 = _arc_integral(1, 20, 4, precision, full=False)
+    v64 = _arc_integral(1, 20, 2, precision)
+    v128 = _arc_integral(1, 20, 4, precision)
     yield (
         "arc quadrature stable under node doubling",
         abs(v128 - v64) < mp.mpf("1e-10") * abs(v128),

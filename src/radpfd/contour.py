@@ -45,17 +45,16 @@ the largest N of each ladder start (1 or 2 panels) and working
 precision, so every table is built once and split, and then split the
 other N the same way; the child inherits the warm tables.
 
-The arc sum, the oracle's products and the Legendre recurrence keep each
-part as a signed Python-int mantissa and an exponent and round with
-specfun._round, _add and _div where the plain mpf and mpc expressions
-round: _add is mpf_add and _div is mpf_div by a positive integer, for any
-operands.  The arc's exponential runs mpc_exp's own steps on the parts
-(_exp_parts), on mpmath's private kernels exp_basecase, cos_sin_basecase,
-ln2_fixed and mod_pi2: mpf_exp and mpf_cos_sin made 40 warm 4-panel arc
-sums 18% slower.  So they too are the same bits.  The package is not
-thread-safe: fork and mp.workprec are both process-wide, and every routine
-sets mpmath's global working precision, so concurrent calls corrupt each
-other's arithmetic.
+The arc sum runs on fixed-point ints with mpmath's private kernels
+exp_basecase, cos_sin_basecase, ln2_fixed and pi_fixed and rounds once,
+within the bound _arc_integral states; the full left arc, which only
+check reads, sums on plain mpc.  The oracle's products and the Legendre
+recurrence keep signed Python-int mantissas and exponents and round with
+specfun._round, _add (mpf_add) and _div (mpf_div by a positive integer)
+where the plain mpf and mpc expressions round, so they are the same bits.
+The package is not thread-safe: fork and mp.workprec are both
+process-wide, and every routine sets mpmath's global working precision,
+so concurrent calls corrupt each other's arithmetic.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ import operator
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpc_exp
-from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase, ln2_fixed, mod_pi2
+from mpmath.libmp import from_man_exp
+from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase, ln2_fixed, pi_fixed
 
 from .specfun import (
     _GUARD,
@@ -221,39 +220,6 @@ def _legendre_rule(precision: int):
         return tuple(_split_map(solve, range(n)))
 
 
-def _exp_parts(am, ae, bm, be, prec):
-    """mpc_exp of am 2^ae + i bm 2^be at prec bits, as the signed mantissas
-    and exponents of its real and imaginary parts.
-
-    The steps of mpc_exp, mpf_exp and mpf_cos_sin on the parts: e^a at
-    prec + 4 bits from exp_basecase (after the ln 2 reduction for |a| >= 2),
-    cos b and sin b at prec + 4 bits from mod_pi2 and cos_sin_basecase, the
-    quadrant mapped, each rounded with specfun._round, and the two products
-    rounded to prec bits.  Where mpmath takes another branch (a or b zero,
-    a part below 2^-wp, or an integer a above 600 bits) this calls mpc_exp.
-    Rounding is half to even, mpmath's 'n'.  So the parts are mpc_exp's bits."""
-    p = prec + 4
-    xp, cp = p + 14, p + 10  # mpf_exp's and mpf_cos_sin's working precisions
-    amag, bmag = am.bit_length() + ae, bm.bit_length() + be
-    if not am or not bm or amag < -xp or bmag < -cp or (p > 600 and ae + (am & -am).bit_length() > 0):
-        return _mantissas(*mpc_exp((from_man_exp(am, ae), from_man_exp(bm, be)), prec, "n"))
-    if amag > 1:  # e^a = 2^n e^(a - n log 2)
-        wpmod = xp + amag
-        offset = ae + wpmod
-        n, t = divmod(am << offset if offset >= 0 else am >> -offset, ln2_fixed(wpmod))
-        t >>= amag
-    else:
-        offset = ae + xp
-        n, t = 0, am << offset if offset >= 0 else am >> -offset
-    mm, me = _round(exp_basecase(t, xp), n - xp, p)
-    t, n, cp = mod_pi2(-bm if bm < 0 else bm, be, bmag, cp)
-    c, s = cos_sin_basecase(t, cp)
-    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
-    cm, ce = _round(c, -cp, p)
-    sm, se = _round(-s if bm < 0 else s, -cp, p)
-    return [_round(mm * cm, me + ce, prec), _round(mm * sm, me + se, prec)]
-
-
 @functools.cache
 def _arc_nodes(panels: int, precision: int, full: bool):
     """Per-node data on the arc theta in [pi/2, pi] (or [pi/2, 3pi/2]),
@@ -286,52 +252,65 @@ def _arc_nodes(panels: int, precision: int, full: bool):
         return tuple(_split_map(node, [(mid, x, w) for mid in mids for x, w in rule]))
 
 
-def _arc_integral(l: int, N: int, panels: int, precision: int, full: bool):
-    """Arc sum over `panels` panels: the real value from the upper
-    half arc, or the complex value over the whole left arc, whose
-    imaginary part is quadrature noise (the true value is real).
+def _arc_integral(l: int, N: int, panels: int, precision: int) -> mp.mpf:
+    """Arc sum over `panels` panels of the upper half arc: the real value
+    2 Im(sum) / norm, by conjugate symmetry.
 
-    The loop keeps each real and imaginary part as a signed Python-int
-    mantissa and an exponent, and rounds where the mpc expression
-    exp((l - 1/2) log(-z) + z/N + N v) * invsq * wdz and the pairwise sum
-    of the terms round (specfun._round, _add, _div; the exponential from
-    _exp_parts), so the value is the same bits.  The half arc
-    needs only the imaginary part of the sum, so it forms only the
-    imaginary part of each product with wdz and adds those."""
+    The loop runs on ints with F = wp + _GUARD fractional bits (wp =
+    precision + _GUARD): it truncates each row's ten parts to F bits, forms
+    a = (l - 1/2) log(-z) + z/N + N v, reduces Re a by ln 2 and Im a by
+    pi/2 (each constant with as many extra bits as the quotient has, as
+    mpmath's wpmod = wp + mag), takes e^t, cos and sin of the remainders
+    from exp_basecase and cos_sin_basecase, forms only Im(e^a invsq wdz),
+    an int times 2^(n - 2F), sums the terms exactly and rounds once.
+
+    Error bound, u = 2^-F: each part of a is within (l + N + 5) u after the
+    truncations and reductions, the kernels and products add under 16 u
+    and wdz's truncation u / |wdz|, so the sum errs by less than the sum of
+    |term| (2 (l + N) + 32 + 2 / |wdz|) u over the terms; rounding, norm
+    and division add under 5 ulps at wp.  The sum of |term| exceeds |sum|
+    by the 0.39N + 3 bits of cancellation that _arc_precision pays for."""
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
     _check_precision(precision)
-    data = _arc_nodes(panels, precision, full)
-    with mp.workprec(precision + _GUARD):
-        prec = mp.mp.prec
-        h = 2 * l - 1  # l - 1/2 = h * 2^-1
-        re_terms, im_terms = [], []
-        for row in data:
-            (zr, zre, zi, zie, wr, wre, wi, wie, gr, gre,
-             gi, gie, sr, sre, si, sie, vr, vre, vi, vie) = row
-            # each part of (l - 1/2) log(-z) + z/N + N v, rounded as mpc_mul_mpf,
-            # mpc_div_mpf, mpc_add and mpc_mul_int round it
-            ar, are = _add(*_round(gr * h, gre - 1, prec), *_div(zr, zre, N, prec), prec)
-            ai, aie = _add(*_round(gi * h, gie - 1, prec), *_div(zi, zie, N, prec), prec)
-            ar, are = _add(ar, are, *_round(vr * N, vre, prec), prec)
-            ai, aie = _add(ai, aie, *_round(vi * N, vie, prec), prec)
-            (er, ere), (ei, eie) = _exp_parts(ar, are, ai, aie, prec)
-            tr, tre = _add(er * sr, ere + sre, -ei * si, eie + sie, prec)
-            ti, tie = _add(er * si, ere + sie, ei * sr, eie + sre, prec)
-            im_terms.append(_add(tr * wi, tre + wie, ti * wr, tie + wre, prec))
-            if full:
-                re_terms.append(_add(tr * wr, tre + wre, -ti * wi, tie + wie, prec))
-
-        def total(terms):
-            return from_man_exp(*_pairwise_sum(terms, lambda x, y: _add(*x, *y, prec)))
-
-        sign = 1 if l % 2 == 1 else -1
+    wp = precision + _GUARD
+    F = wp + _GUARD
+    h = 2 * l - 1  # l - 1/2 = h / 2
+    terms = []
+    for row in _arc_nodes(panels, precision, False):
+        zr, zi, wr, wi, gr, gi, sr, si, vr, vi = (
+            m << e + F if e + F >= 0 else m >> -e - F for m, e in zip(row[0::2], row[1::2])
+        )
+        ar = (h * gr >> 1) + zr // N + N * vr
+        ai = (h * gi >> 1) + zi // N + N * vi
+        k = (abs(ar) >> F).bit_length()  # e^ar = 2^n e^t, t in [0, ln 2)
+        n, t = divmod(ar << k, ln2_fixed(F + k))
+        ea = exp_basecase(t >> k, F)
+        k = (abs(ai) >> F).bit_length()  # ai = q pi/2 + t, t in [0, pi/2)
+        q, t = divmod(ai << k, pi_fixed(F + k - 1))
+        c, s = cos_sin_basecase(t >> k, F)
+        c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[q & 3]
+        xr, xi = (c * sr - s * si) >> F, (c * si + s * sr) >> F  # e^(i ai) invsq
+        terms.append((ea * (xr * wi + xi * wr) >> F, n))
+    low = min(n for _, n in terms)
+    total = sum(m << n - low for m, n in terms)
+    with mp.workprec(wp):
+        imag = mp.mp.make_mpf(from_man_exp(total, low - 2 * F, wp, "n"))
         norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
-        if full:
-            A = mp.mp.make_mpc((total(re_terms), total(im_terms)))
-            return sign * A / (mp.mpc(0, 1) * norm)
-        imag = mp.mp.make_mpf(total(im_terms))
-        return mp.mpf(sign * 2 * imag / norm)
+        return mp.mpf((-1) ** (l - 1) * 2 * imag / norm)
+
+
+def _full_arc_integral(l: int, N: int, panels: int, precision: int) -> mp.mpc:
+    """Arc sum over the whole left arc on plain mpc arithmetic: a complex
+    value whose imaginary part is quadrature noise.  Only check reads it."""
+    with mp.workprec(precision + _GUARD):
+        half, terms = l - mp.mpf(1) / 2, []
+        for row in _arc_nodes(panels, precision, True):
+            parts = [from_man_exp(m, e) for m, e in zip(row[0::2], row[1::2])]
+            z, wdz, logmz, invsq, v = map(mp.mp.make_mpc, zip(parts[0::2], parts[1::2]))
+            terms.append(mp.exp(half * logmz + z / N + N * v) * invsq * wdz)
+        norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
+        return (-1) ** (l - 1) * _pairwise_sum(terms) / (mp.mpc(0, 1) * norm)
 
 
 def _arc_precision(N: int, precision: int) -> int:
@@ -393,10 +372,10 @@ def integral_approx_C(l: int, N: int, precision: int = 256) -> mp.mpf:
     _check_precision(precision)
     precision = _arc_precision(N, precision)
     panels = _first_panels(l, N)
-    coarse = _arc_integral(l, N, panels, precision, False)
+    coarse = _arc_integral(l, N, panels, precision)
     while True:
         panels *= 2
-        fine = _arc_integral(l, N, panels, precision, False)
+        fine = _arc_integral(l, N, panels, precision)
         with mp.workprec(precision + _GUARD):
             delta = abs(fine - coarse)
             scale = max(abs(fine), mp.mpf(2) ** (-(precision // 2)))

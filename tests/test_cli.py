@@ -676,6 +676,18 @@ class TestPinnedOutputs:
                 ["compare", "--from", "1", "--to", "80", "--l", "8", "--modes", "integral"],
                 "5d991971fdc895d1c4c63fa429b52aa1d3dce2ccd5630efa38a9732e36419c7e",
             ),
+            (  # prints C(150, 3) = -0.12883199705431739
+                ["--prec-bits", "128", "integral", "--N", "150", "--l", "3"],
+                "2b9f18e2cf593eb657c5318fe22075840d7c0b0d52fd0ad3ec9ad9c2caa22bef",
+            ),
+            (  # prints C(300, 5) = -0.034666096627112583
+                ["--prec-bits", "512", "integral", "--N", "300", "--l", "5"],
+                "6cedd975928a46c3f29d4a55b5218c142eebbe99fa6ef5ff844c8e87379e5bc6",
+            ),
+            (  # prints C(250, 8) = 0.00019307314371465891
+                ["--prec-bits", "64", "integral", "--N", "250", "--l", "8"],
+                "280b76d839dc533732abc03f4530f1c92c04d1b10c24ac7ba469fdf972624085",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

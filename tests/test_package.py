@@ -84,6 +84,7 @@ def test_every_imported_name_is_read():
 PRIVATE_IMPORTS = {
     "cli": {
         "contour._arc_integral",
+        "contour._full_arc_integral",
         "exact._to_mpf",
         "report._exact_window",
         "saddle._saddle_precision",
@@ -134,11 +135,10 @@ MPMATH_INTERNALS = {
     "specfun": {"mpmath.libmp.from_man_exp"},
     "contour": {
         "mpmath.libmp.from_man_exp",
-        "mpmath.libmp.mpc_exp",
         "mpmath.libmp.libelefun.cos_sin_basecase",
         "mpmath.libmp.libelefun.exp_basecase",
         "mpmath.libmp.libelefun.ln2_fixed",
-        "mpmath.libmp.libelefun.mod_pi2",
+        "mpmath.libmp.libelefun.pi_fixed",
     },
 }
 
