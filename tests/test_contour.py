@@ -247,6 +247,17 @@ def plain_arc_sum(l, N, panels, precision, hp):
         return value, 2 * spread / norm * mp.mpf(2) ** -(wp + 32) + 5 * abs(value) * mp.mpf(2) ** -wp
 
 
+def plain_full_arc_integral(l, N, panels, precision):
+    """Reference for _full_arc_integral: the sum on plain mpc objects."""
+    data = [map(mp.mp.make_mpc, _raw_row(row)) for row in contour._arc_nodes(panels, precision, True)]
+    with mp.workprec(precision + 32):
+        half = l - mp.mpf(1) / 2
+        terms = [mp.exp(half * logmz + z / N + N * v) * invsq * wdz for (z, wdz, logmz, invsq, v) in data]
+        sign = 1 if l % 2 == 1 else -1
+        norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
+        return sign * contour._pairwise_sum(terms) / (mp.mpc(0, 1) * norm)
+
+
 def _assert_within_bound(l, N, panels, precision):
     got = _arc_integral(l, N, panels, precision)
     hp = 3 * (precision + 32)
@@ -279,6 +290,45 @@ class TestArcKernel:
     @pytest.mark.parametrize("l, N, panels", [(1, 450, 64), (2, 500, 64), (500, 500, 4)])
     def test_within_the_stated_bound_at_large_n(self, l, N, panels):
         _assert_within_bound(l, N, panels, PREC)
+
+    # full=True: the full left arc, the plain mpc loop itself; the half arc's
+    # cases are test_within_the_stated_bound now
+    @pytest.mark.parametrize("full", [True])
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("nodes", [32, 64, 128])
+    def test_bit_identical_to_plain_mpc_loop(self, nodes, prec, full):
+        panels = nodes // contour._PANEL
+        for l in (1, 2, 5):
+            for N in (1, 7, 20, 40, 64, 88, 150):  # 64: a power of two
+                got = _full_arc_integral(l, N, panels, prec)
+                assert got._mpc_ == plain_full_arc_integral(l, N, panels, prec)._mpc_, (l, N)
+
+    # Rows (z, wdz, log(-z), invsq, v) as cached, found by one seeded search
+    # (seeds 2647 and 4545): at l = N = 1 the exponent is v, whose exponential
+    # has an imaginary part below 2^-100 of its real part, and wdz's parts are
+    # 2^102 to 2^104 apart, so the plain sums of tr and ti times wdz take
+    # mpf_add's far-operand path, the perturbed sum.
+    FAR_ROWS = (
+        (0, 0, 0, 0,
+         41630725229673192045783471861, -96, -46993405894239058241485570451, 6,
+         0, 0, 0, 0,
+         -56264859419828270453631974145, -99, 62855403721439053463897917569, -99,
+         41569705748255, -47, 8297548916707460052479081, -185),
+        (0, 0, 0, 0,
+         -74446255111756530990801953719, -96, -65417524637788806382663651659, 8,
+         0, 0, 0, 0,
+         44190199286616466626560282151, -98, -68547203071710897824994793771, -96,
+         -15, -5, 13565012383550820835735651773, -229),
+    )
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("row", FAR_ROWS)
+    def test_a_far_exponential_reaches_the_perturbed_sum(self, monkeypatch, row, full):
+        monkeypatch.setattr(contour, "_arc_nodes", lambda *args: (row,))
+        if full:
+            assert _full_arc_integral(1, 1, 1, 64)._mpc_ == plain_full_arc_integral(1, 1, 1, 64)._mpc_
+        else:
+            _assert_within_bound(1, 1, 1, 64)
 
     def test_full_arc_is_the_pinned_bits(self):
         raw = [
