@@ -24,15 +24,15 @@ Three functools caches hold data that does not depend on l.  The
 Gauss-Legendre rule (mpf nodes and weights) depends on the precision and
 the arc's per-node data (positions, dilogarithm values, branch logs) on
 (panel count, precision, half or full arc), never on (l, N); both caches
-only grow.  The oracle's nodes and l-independent products
-prod_{j<=N} (1 - (1+x)^j) depend on (N, spec); an lru_cache of size one
-keeps those of the latest (N, spec) only (it drops the previous set once
-the next is built), so calls that vary l inside N reuse them and memory
-stays flat across N.  The arc and oracle caches keep each node once, as a
-tuple of ints: the signed mantissa and exponent of each real part, which
-the kernels read and from_man_exp rebuilds exactly.  Cached values are
-computed exactly as uncached ones, so every result is the same bits with
-or without them.
+only grow.  The oracle's nodes k = 0..M of the 2M (the others are their
+conjugates) and l-independent products prod_{j<=N} (1 - (1+x)^j) depend
+on (N, spec); an lru_cache of size one keeps those of the latest
+(N, spec) only (it drops the previous set once the next is built), so
+calls that vary l inside N reuse them and memory stays flat across N.
+The arc and oracle caches keep each node once, as a tuple of ints: the
+signed mantissa and exponent of each real part, which the kernels read
+and from_man_exp rebuilds exactly.  Cached values are computed exactly
+as uncached ones, so every result is the same bits with or without them.
 
 The node tables (the Gauss-Legendre rule's Newton solves, the arc's
 per-node data, the oracle's products and the Li2 samples of the
@@ -48,10 +48,10 @@ other N the same way; the child inherits the warm tables.
 The arc sum runs on fixed-point ints with mpmath's private kernels
 exp_basecase, cos_sin_basecase, ln2_fixed and pi_fixed and rounds once,
 within the bound _arc_integral states; the full left arc, which only
-check reads, sums on plain mpc.  The oracle's products and the Legendre
-recurrence keep signed Python-int mantissas and exponents and round with
-specfun._round, _add (mpf_add) and _div (mpf_div by a positive integer)
-where the plain mpf and mpc expressions round, so they are the same bits.
+check reads, and the oracle's products run on plain mpc.  The Legendre
+recurrence keeps signed Python-int mantissas and exponents and rounds
+with specfun._round, _add (mpf_add) and _div (mpf_div by a positive
+integer) where the plain mpf expression rounds, so it is the same bits.
 The package is not thread-safe: fork and mp.workprec are both
 process-wide, and every routine sets mpmath's global working precision,
 so concurrent calls corrupt each other's arithmetic.
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -135,12 +134,12 @@ class OracleValue:
     node_doubling_delta measures only the rule's quadrature error.  It
     bounds |value - C(N, l)| on the 87 pairs of acceptance test c2 (N up
     to 30; tests/test_contour.py checks it), but not where rounding
-    dominates: at N = 200, l = 1 with oracle_spec(200) it reads 8.5e-78
-    against an error of 6.7e-76, the rounding of the cancellation that the
+    dominates: at N = 200, l = 1 with oracle_spec(200) it reads 1.4e-77
+    against an error of 6.9e-76, the rounding of the cancellation that the
     64 + 1.5N bits leave.
     """
 
-    value: mp.mpc
+    value: mp.mpf
     node_doubling_delta: mp.mpf
 
 
@@ -176,12 +175,12 @@ def oracle_spec(N: int) -> QuadratureSpec:
     return QuadratureSpec(nodes=nodes, precision=precision, radius=radius)
 
 
-def _pairwise_sum(values, add=operator.add):
+def _pairwise_sum(values):
     n = len(values)
     if n == 1:
         return values[0]
     half = n // 2
-    return add(_pairwise_sum(values[:half], add), _pairwise_sum(values[half:], add))
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def _legendre_p(x):
@@ -411,37 +410,36 @@ def _integrals(l: int, Ns, precision: int):
 
 @functools.lru_cache(maxsize=1)
 def _oracle_nodes(N: int, spec: QuadratureSpec):
-    """The 2M trapezoid nodes x = r e^{i pi k / M} with prod_{j<=N} (1 - (1+x)^j),
-    independent of l, as rows (xr, xre, xi, xie, pm, pe, qm, qe) of signed
-    mantissas and exponents of the real and imaginary parts of x and of the
-    product.  Only the latest (N, spec) is kept, so a sweep over l at one N
-    computes them once and memory stays flat over many N.  The product loop
-    rounds where the mpc expressions 1 + x, 1 - y^j, prod * (1 - y^j) and
-    y^j * y round (four exact products and two specfun._add per product),
-    so the products are the same bits."""
+    """The trapezoid nodes x = r e^{i pi k / M}, k = 0..M, with
+    prod_{j<=N} (1 - (1+x)^j), independent of l, as rows (xr, xre, xi, xie,
+    pm, pe, qm, qe) of signed mantissas and exponents of the real and
+    imaginary parts of x and of the product; the nodes k and 2M - k are
+    conjugates, and so are their products.  Only the latest (N, spec) is
+    kept, so a sweep over l at one N computes them once and memory stays
+    flat over many N."""
     M = spec.nodes
     with mp.workprec(spec.precision + _GUARD):
         r = mp.mpf(spec.radius)
-        prec = mp.mp.prec
 
         def node(k):
-            (am, ae), (bm, be) = x = _mantissas(*(r * mp.expjpi(mp.mpf(k) / M))._mpc_)  # 2M-th roots
-            am, ae = _add(am, ae, 1, 0, prec)  # y = 1 + x
-            cm, ce, dm, de = am, ae, bm, be  # y^j
-            pm, pe, qm, qe = 1, 0, 0, 0  # the product
+            x = r * mp.expjpi(mp.mpf(k) / M)  # 2M-th roots
+            y = yj = 1 + x
+            prod = mp.mpc(1)
             for _ in range(N):
-                um, ue = _add(1, 0, -cm, ce, prec)  # 1 - y^j, whose imaginary part is -d
-                pm, pe, qm, qe = (
-                    *_add(pm * um, pe + ue, qm * dm, qe + de, prec),
-                    *_add(-pm * dm, pe + de, qm * um, qe + ue, prec),
-                )
-                cm, ce, dm, de = (
-                    *_add(cm * am, ce + ae, -dm * bm, de + be, prec),
-                    *_add(cm * bm, ce + be, dm * am, de + ae, prec),
-                )
-            return *x[0], *x[1], pm, pe, qm, qe
+                prod *= 1 - yj
+                yj *= y
+            return sum(_mantissas(*x._mpc_, *prod._mpc_), ())
 
-        return tuple(_split_map(node, range(2 * M)))
+        return tuple(_split_map(node, range(M + 1)))
+
+
+def _folded_rule(vals, step):
+    """The trapezoid rule on the nodes k = 0, step, ... of the 2M, from the
+    values at k = 0..M: node 2M - k carries the conjugate of node k's value."""
+    M = len(vals) - 1
+    reals = [v.real for v in vals[::step]]
+    last = reals.pop() if M % step == 0 else 0
+    return (reals[0] + last + 2 * _pairwise_sum(reals[1:])) / (2 * M // step)
 
 
 def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
@@ -449,11 +447,12 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
 
     Trapezoid rule with spec.nodes points, plus the interleaved
     double-count for the convergence delta; the two rules share the
-    even-indexed nodes so the doubled run costs one extra sweep.  The
-    delta is the quadrature error only, not an error bound where the
-    cancellation's rounding dominates (see OracleValue).  The nodes and
-    their products come from the one-entry (N, spec) cache as mantissas
-    and exponents; from_man_exp rebuilds each exactly as an mpc.
+    even-indexed nodes so the doubled run costs one extra sweep.  x f(x)
+    has real Taylor coefficients, so each rule folds its nodes onto k <= M
+    and is real.  The delta is the quadrature error only, not an error
+    bound where the cancellation's rounding dominates (see OracleValue).
+    The nodes and their products come from the one-entry (N, spec) cache
+    as mantissas and exponents; from_man_exp rebuilds each exactly as an mpc.
     """
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
@@ -467,14 +466,13 @@ def cauchy_oracle(l: int, N: int, spec: QuadratureSpec) -> OracleValue:
     nodes = _oracle_nodes(N, spec)
     with mp.workprec(spec.precision + _GUARD):
         mpc = mp.mp.make_mpc
-        vals = [  # f(x) * x with f = x^{l-1}/prod
+        vals = [  # f(x) * x with f = x^{l-1}/prod, at the nodes k = 0..M
             mpc((from_man_exp(xr, xre), from_man_exp(xi, xie))) ** l
             / mpc((from_man_exp(pm, pe), from_man_exp(qm, qe)))
             for xr, xre, xi, xie, pm, pe, qm, qe in nodes
         ]
-        coarse = _pairwise_sum(vals[0::2]) / M
-        fine = _pairwise_sum(vals) / (2 * M)
-        return OracleValue(value=fine, node_doubling_delta=mp.mpf(abs(fine - coarse)))
+        fine, coarse = _folded_rule(vals, 1), _folded_rule(vals, 2)
+        return OracleValue(value=fine, node_doubling_delta=abs(fine - coarse))
 
 
 def _growth_samples(path):

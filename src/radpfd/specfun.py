@@ -14,9 +14,9 @@ upper bound on their error alongside the value.
 
 The private helper _split_map, which the node tables of contour and saddle
 share, forks one child on hosts with 2 or more usable CPUs.  The Li2 series
-and contour's loops keep signed Python-int mantissas and exponents
-(_mantissas unpacks mpmath's tuples) and round them as mpmath does: _add is
-mpf_add and _div is mpf_div by a positive integer, for any operands.
+and contour's Legendre recurrence keep signed Python-int mantissas and
+exponents (_mantissas unpacks mpmath's tuples) and round them as mpmath
+does: _add is mpf_add and _div is mpf_div by a positive integer.
 """
 
 from __future__ import annotations

@@ -121,7 +121,7 @@ class TestOracleCache:
     @staticmethod
     def bits(l, N, spec):
         got = cauchy_oracle(l, N, spec)
-        return got.value._mpc_, got.node_doubling_delta._mpf_
+        return got.value._mpf_, got.node_doubling_delta._mpf_
 
     def test_value_does_not_depend_on_earlier_calls(self):
         spec = oracle_spec(12)
@@ -352,7 +352,7 @@ class TestArcNodeCache:
         # one copy of each node: mantissas and exponents, no mpc beside them
         contour._oracle_nodes.cache_clear()
         arc, oracle = contour._arc_nodes(1, 64, False), contour._oracle_nodes(4, oracle_spec(4))
-        assert [len(arc), len(oracle)] == [32, 2 * oracle_spec(4).nodes]
+        assert [len(arc), len(oracle)] == [32, oracle_spec(4).nodes + 1]
         assert {len(row) for row in arc} == {20} and {len(row) for row in oracle} == {8}
         assert {type(x) for row in arc + oracle for x in row} <= {int, MPZ}
 
@@ -444,19 +444,82 @@ class TestOracleProducts:
     @pytest.mark.parametrize("prec", [None, 512])
     @pytest.mark.parametrize("N", [1, 2, 12, 20])
     def test_bit_identical_to_plain_mpc_loop(self, N, prec):
+        # the nodes k = 0..M: the rest are their conjugates
         spec = oracle_spec(N)
         if prec is not None:
             spec = dataclasses.replace(spec, precision=prec)
         contour._oracle_nodes.cache_clear()
-        assert _digest(contour._oracle_nodes(N, spec)) == _digest(plain_oracle_nodes(N, spec))
+        want = plain_oracle_nodes(N, spec)[: spec.nodes + 1]
+        assert _digest(contour._oracle_nodes(N, spec)) == _digest(want)
 
-    def test_a_tiny_radius_reaches_the_perturbed_sum(self):
-        # the loop variables' trailing zero bits would move a far-operand
-        # test made on raw exponents in a product sum here (found by a
-        # seeded search over radii)
-        spec = QuadratureSpec(nodes=23, precision=64, radius=1.3968721228693326e-15)
+    def test_m_plus_1_node_products_per_n_and_spec(self, monkeypatch):
+        counted = []
+
+        def counting_map(fn, items):
+            items = list(items)
+            counted.append(len(items))
+            return [fn(x) for x in items]
+
+        monkeypatch.setattr(contour, "_split_map", counting_map)
         contour._oracle_nodes.cache_clear()
-        assert _digest(contour._oracle_nodes(12, spec)) == _digest(plain_oracle_nodes(12, spec))
+        for N in (12, 18):
+            for l in range(1, 5):
+                cauchy_oracle(l, N, oracle_spec(N))
+        contour._oracle_nodes.cache_clear()
+        assert counted == [oracle_spec(12).nodes + 1, oracle_spec(18).nodes + 1]
+
+
+# check's two specs (M = 64 and 224, even) and oracle_spec at N = 12, 18, 24
+# (M = 55, 59, 63, odd), with the l they are called with
+FOLD_CASES = [
+    (1, QuadratureSpec(nodes=64, precision=128, radius=0.5), (1,)),
+    (2, QuadratureSpec(nodes=64, precision=128, radius=0.5), (1, 2)),
+    (20, QuadratureSpec(nodes=224, precision=512, radius=0.15), (1, 4, 10)),
+    (12, oracle_spec(12), (1, 5, 10)),
+    (18, oracle_spec(18), (1, 5, 10)),
+    (24, oracle_spec(24), (1, 5, 10)),
+]
+
+
+class TestFoldedRule:
+    """The rules on the conjugate half of the nodes against the real parts
+    of the same rules summed over all 2M nodes on plain mpc.  A rule is a
+    pairwise sum of at most 2M terms v_k at wp bits divided by their
+    count, within (ceil(log2 2M) + 2) u max|v_k| of its exact value,
+    u = 2^-wp; the two sides of a test may differ by twice that.  The
+    plain loop's v_{2M-k} is the conjugate of v_k only to within its own
+    rounding, which the bound also absorbs on these cases."""
+
+    @pytest.mark.parametrize("N, spec, ls", FOLD_CASES)
+    def test_within_the_pairwise_bound_of_the_full_sum(self, N, spec, ls):
+        M, wp = spec.nodes, spec.precision + 32
+        nodes = plain_oracle_nodes(N, spec)
+        for l in ls:
+            got = cauchy_oracle(l, N, spec)
+            with mp.workprec(wp):
+                vals = [x**l / prod for x, prod in nodes]
+                bound = (2 * math.ceil(math.log2(2 * M)) + 4) * mp.mpf(2) ** -wp * max(map(abs, vals))
+                fine = contour._pairwise_sum(vals) / (2 * M)
+                coarse = contour._pairwise_sum(vals[0::2]) / M
+                assert abs(contour._folded_rule(vals[: M + 1], 1) - fine.real) <= bound, (N, l)
+                assert abs(contour._folded_rule(vals[: M + 1], 2) - coarse.real) <= bound, (N, l)
+                assert abs(got.value - fine.real) <= bound, (N, l)
+                assert abs(got.node_doubling_delta - abs(fine.real - coarse.real)) <= 2 * bound, (N, l)
+                assert isinstance(got.value, mp.mpf)
+
+
+# sha256 over cauchy_oracle(...).value._mpf_ at perfbench's oracle grid
+# (N = 12, 18, 24 with oracle_spec(N), l = 1..10) and at check's three calls,
+# recorded when the rules first summed the conjugate half of the nodes
+ORACLE_VALUE_DIGEST = "33f7aa9ac76fc2c04d1ab89027c3de82d5866c2ff52f0c938aa57f3da4b37637"
+
+
+def test_oracle_values_are_the_pinned_bits():
+    raw = [cauchy_oracle(l, N, oracle_spec(N)).value._mpf_ for N in (12, 18, 24) for l in range(1, 11)]
+    small = QuadratureSpec(nodes=64, precision=128, radius=0.5)
+    raw += [cauchy_oracle(1, 1, small).value._mpf_, cauchy_oracle(2, 2, small).value._mpf_]
+    raw.append(cauchy_oracle(1, 20, QuadratureSpec(nodes=224, precision=512, radius=0.15)).value._mpf_)
+    assert hashlib.sha256(repr(raw).encode()).hexdigest() == ORACLE_VALUE_DIGEST
 
 
 class TestSplitMap:

@@ -331,9 +331,10 @@ class TestSeriesLi2:
 
 
 class TestContourSteps:
-    """_round and _div in the steps of contour's arc sum, oracle products and
-    Legendre recurrence: _round stands in for mpf_mul and mpf_mul_int, and
-    _div divides by N or j, or by any positive integer of up to 2 prec bits."""
+    """_round and _div in the steps of contour's Legendre recurrence, their
+    one user outside the Li2 series: _round stands in for mpf_mul and
+    mpf_mul_int, and _div divides by j, or by any positive integer of up to
+    2 prec bits."""
 
     @pytest.mark.parametrize("prec", [96, 160, 288, 544])
     def test_round_as_mpf_mul_and_mpf_mul_int(self, prec):
