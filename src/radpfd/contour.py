@@ -253,7 +253,7 @@ def _arc_nodes(panels: int, precision: int, full: bool):
 
 def _arc_integral(l: int, N: int, panels: int, precision: int) -> mp.mpf:
     """Arc sum over `panels` panels of the upper half arc: the real value
-    2 Im(sum) / norm, by conjugate symmetry.
+    (-1)^(l-1) 2 Im(sum) / (N^(l+1/2) (2 pi)^1.5), by conjugate symmetry.
 
     The loop runs on ints with F = wp + _GUARD fractional bits (wp =
     precision + _GUARD): it truncates each row's ten parts to F bits, forms
@@ -261,19 +261,19 @@ def _arc_integral(l: int, N: int, panels: int, precision: int) -> mp.mpf:
     pi/2 (each constant with as many extra bits as the quotient has, as
     mpmath's wpmod = wp + mag), takes e^t, cos and sin of the remainders
     from exp_basecase and cos_sin_basecase, forms only Im(e^a invsq wdz),
-    an int times 2^(n - 2F), sums the terms exactly and rounds once.
+    an int times 2^(n - 2F), sums the terms exactly with the sign and 2,
+    and divides by the norm, taken at F bits, rounding once to wp.
 
     Error bound, u = 2^-F: each part of a is within (l + N + 5) u after the
     truncations and reductions, the kernels and products add under 16 u
     and wdz's truncation u / |wdz|, so the sum errs by less than the sum of
-    |term| (2 (l + N) + 32 + 2 / |wdz|) u over the terms; rounding, norm
-    and division add under 5 ulps at wp.  The sum of |term| exceeds |sum|
+    |term| (2 (l + N) + 32 + 2 / |wdz|) u over the terms; the norm and the
+    rounding add under 1 ulp at wp.  The sum of |term| exceeds |sum|
     by the 0.39N + 3 bits of cancellation that _arc_precision pays for."""
     if l < 1 or N < 1:
         raise ValueError("l and N must be positive integers")
     _check_precision(precision)
-    wp = precision + _GUARD
-    F = wp + _GUARD
+    wp, F = precision + _GUARD, precision + 2 * _GUARD
     h = 2 * l - 1  # l - 1/2 = h / 2
     terms = []
     for row in _arc_nodes(panels, precision, False):
@@ -292,11 +292,11 @@ def _arc_integral(l: int, N: int, panels: int, precision: int) -> mp.mpf:
         xr, xi = (c * sr - s * si) >> F, (c * si + s * sr) >> F  # e^(i ai) invsq
         terms.append((ea * (xr * wi + xi * wr) >> F, n))
     low = min(n for _, n in terms)
-    total = sum(m << n - low for m, n in terms)
-    with mp.workprec(wp):
-        imag = mp.mp.make_mpf(from_man_exp(total, low - 2 * F, wp, "n"))
+    total = (-1) ** (l - 1) * sum(m << n - low for m, n in terms)
+    with mp.workprec(F):
         norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
-        return mp.mpf((-1) ** (l - 1) * 2 * imag / norm)
+    with mp.workprec(wp):
+        return mp.mp.make_mpf(from_man_exp(total, low + 1 - 2 * F)) / norm
 
 
 def _full_arc_integral(l: int, N: int, panels: int, precision: int) -> mp.mpc:

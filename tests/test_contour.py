@@ -244,7 +244,7 @@ def plain_arc_sum(l, N, panels, precision, hp):
         sign = 1 if l % 2 == 1 else -1
         norm = mp.mpf(N) ** (l + mp.mpf(1) / 2) * (2 * mp.pi) ** mp.mpf("1.5")
         value = sign * 2 * acc.imag / norm
-        return value, 2 * spread / norm * mp.mpf(2) ** -(wp + 32) + 5 * abs(value) * mp.mpf(2) ** -wp
+        return value, 2 * spread / norm * mp.mpf(2) ** -(wp + 32) + abs(value) * mp.mpf(2) ** -wp
 
 
 def plain_full_arc_integral(l, N, panels, precision):
@@ -329,6 +329,18 @@ class TestArcKernel:
             assert _full_arc_integral(1, 1, 1, 64)._mpc_ == plain_full_arc_integral(1, 1, 1, 64)._mpc_
         else:
             _assert_within_bound(1, 1, 1, 64)
+
+    # A row with z = log(-z) = 0, invsq = wdz = 1 and v exact at F bits, so
+    # the exponent at l = N = 1 is a = v, with |Re a| and |Im a| near 2^45:
+    # dropping the reductions' extra bits (ln 2 or pi/2 at F bits, shifted)
+    # moves the value by over 700 ulps at wp.  At the arc's own |a|, under
+    # 2^11, the same drop moves it by under 2^-20 ulps, below the rounding.
+    HUGE_EXPONENT_ROW = (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 3 * 2**44 + 11, -1, -5 * 2**44 + 7, -1)
+
+    @pytest.mark.parametrize("prec", [64, 128, 256, 1024])
+    def test_the_reductions_keep_their_extra_bits(self, monkeypatch, prec):
+        monkeypatch.setattr(contour, "_arc_nodes", lambda *args: (self.HUGE_EXPONENT_ROW,))
+        _assert_within_bound(1, 1, 1, prec)
 
     def test_full_arc_is_the_pinned_bits(self):
         raw = [
