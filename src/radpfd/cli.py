@@ -82,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--prec-bits",
         type=int,
         default=256,
-        help=f"working precision in bits, 64 to {_MAX_PREC_BITS}; "
-        f"at {_MAX_PREC_BITS} check takes about 2 s and figures 2.5 s",
+        help=f"working precision in bits, 64 to {_MAX_PREC_BITS}",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -48,13 +48,10 @@ other N the same way; the child inherits the warm tables.
 The arc sum runs on fixed-point ints with mpmath's private kernels
 exp_basecase, cos_sin_basecase, ln2_fixed and pi_fixed and rounds once,
 within the bound _arc_integral states; the full left arc, which only
-check reads, and the oracle's products run on plain mpc.  The Legendre
-recurrence keeps signed Python-int mantissas and exponents and rounds
-with specfun._round, _add (mpf_add) and _div (mpf_div by a positive
-integer) where the plain mpf expression rounds, so it is the same bits.
-The package is not thread-safe: fork and mp.workprec are both
-process-wide, and every routine sets mpmath's global working precision,
-so concurrent calls corrupt each other's arithmetic.
+check reads, and the oracle's products run on plain mpc.  The package
+is not thread-safe: fork and mp.workprec are both process-wide, and
+every routine sets mpmath's global working precision, so concurrent
+calls corrupt each other's arithmetic.
 """
 
 from __future__ import annotations
@@ -64,18 +61,15 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, round_nearest
 from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase, ln2_fixed, pi_fixed
 
 from .specfun import (
     _GUARD,
-    _add,
     _check_precision,
     _dilog_value,
-    _div,
     _mantissas,
     _pi2_over_6,
-    _round,
     _split_map,
     dilog,
 )
@@ -185,18 +179,19 @@ def _pairwise_sum(values):
 
 def _legendre_p(x):
     """P_n(x) and P_n'(x), n = _PANEL, by the three-term recurrence at the
-    caller's working precision.  The loop rounds p0's and p1's mantissas
-    where the mpf expression ((2j-1) x p1 - (j-1) p0) / j rounds
-    (specfun._round, _add, _div), so P_n and n (x p1 - p0) / (x x - 1) are
-    the bits of the plain recurrence."""
-    prec = mp.mp.prec
-    [(xm, xe)] = _mantissas(x._mpf_)
-    am, ae, bm, be = 1, 0, xm, xe  # p0, p1
+    caller's working precision.  The loop makes the libmpf calls of the
+    mpf expression ((2j-1) x p1 - (j-1) p0) / j, rounded to nearest (the
+    product by 1 - j is the negated product by j - 1, since that rounding
+    is symmetric), so P_n and n (x p1 - p0) / (x x - 1) are the bits of
+    the plain recurrence."""
+    prec, rnd = mp.mp.prec, round_nearest
+    xv = x._mpf_
+    p0, p1 = from_man_exp(1, 0), xv
     for j in range(2, _PANEL + 1):
-        tm, te = _round(xm * (2 * j - 1), xe, prec)
-        tm, te = _add(*_round(tm * bm, te + be, prec), *_round(-am * (j - 1), ae, prec), prec)
-        am, ae, (bm, be) = bm, be, _div(tm, te, j, prec)
-    p0, p1 = mp.mp.make_mpf(from_man_exp(am, ae)), mp.mp.make_mpf(from_man_exp(bm, be))
+        t = mpf_mul(mpf_mul(from_man_exp(2 * j - 1, 0), xv, prec, rnd), p1, prec, rnd)
+        t = mpf_add(t, mpf_mul(from_man_exp(1 - j, 0), p0, prec, rnd), prec, rnd)
+        p0, p1 = p1, mpf_div(t, from_man_exp(j, 0), prec, rnd)
+    p0, p1 = mp.mp.make_mpf(p0), mp.mp.make_mpf(p1)
     return p1, _PANEL * (x * p1 - p0) / (x * x - 1)
 
 

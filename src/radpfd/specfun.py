@@ -14,19 +14,16 @@ upper bound on their error alongside the value.
 
 The private helper _split_map, which the node tables of contour and saddle
 share, forks one child on hosts with 2 or more usable CPUs.  The Li2 series
-and contour's Legendre recurrence keep signed Python-int mantissas and
-exponents (_mantissas unpacks mpmath's tuples) and round them as mpmath
-does: _add is mpf_add and _div is mpf_div by a positive integer.
+sums on fixed-point ints and rounds once, within the bound _series_li2
+states.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
 
 __all__ = [
     "EvalResult",
@@ -36,6 +33,7 @@ __all__ = [
 ]
 
 _GUARD = 32
+_SERIES_GUARD = 20  # extra fractional bits of _series_li2's fixed-point loop
 _in_split_child = False  # set in the child of _split_map, which never forks again
 
 
@@ -115,101 +113,44 @@ def _mantissas(*raw):
     return [(-m if sign else m, e) for sign, m, e, _ in raw]
 
 
-def _round(m, e, prec):
-    """m * 2^e rounded to prec bits as mpmath's normalize rounds it, for
-    any m: half to even on |m|, to |m| < 2^prec; unlike normalize, it
-    leaves trailing zero bits in m, which _add and _div take as they are."""
-    n = m.bit_length() - prec
-    if n > 0:
-        a = -m if m < 0 else m
-        t = a >> (n - 1)
-        if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
-            a = (t >> 1) + 1
-            if a >> prec:  # carried to 2^prec
-                a, e = a >> 1, e + 1
-        else:
-            a = t >> 1
-        m = -a if m < 0 else a
-        e += n
-    return m, e
-
-
-def _add(am, ae, bm, be, prec):
-    """mpf_add of am * 2^ae and bm * 2^be at prec bits, for any operands:
-    the exact sum, rounded, except where the tops (exponent plus bit
-    length) are over prec + 4 apart and the exponents of the odd mantissas
-    over 100 apart; there mpf_add shifts the larger operand's odd mantissa
-    by prec + 4 and adds the sign of the smaller in its last bit."""
-    if not am:
-        return _round(bm, be, prec)
-    if not bm:
-        return _round(am, ae, prec)
-    gap = am.bit_length() + ae - bm.bit_length() - be
-    if gap > prec + 4 or -gap > prec + 4:
-        if gap < 0:
-            am, ae, bm, be = bm, be, am, ae
-        za = (am & -am).bit_length() - 1
-        if ae + za - be - (bm & -bm).bit_length() + 1 > 100:
-            return _round(((am >> za) << (prec + 4)) + (1 if bm > 0 else -1), ae + za - prec - 4, prec)
-    if ae < be:
-        am, ae, bm, be = bm, be, am, ae
-    return _round((am << (ae - be)) + bm, be, prec)
-
-
-def _div(m, e, d, prec):
-    """mpf_div of m * 2^e by the positive integer d at prec bits, for any
-    m: a quotient of over prec + 4 bits, its last bit set when the division
-    leaves a remainder, rounded once; so the value is the quotient correctly
-    rounded, as mpf_div's is."""
-    a = -m if m < 0 else m
-    extra = max(5, prec - a.bit_length() + d.bit_length() + 5)
-    q, r = divmod(a << extra, d)
-    if r:
-        q = (q << 1) + 1
-        extra += 1
-    return _round(-q if m < 0 else q, e - extra, prec)
-
-
 def _series_li2(u, precision):
-    """Direct series sum_{k>=1} u^k / k^2 at the ambient working precision.
+    """Direct series sum_{k>=1} u^k / k^2 at the ambient working precision
+    wp, summed on fixed-point ints.
 
-    Stops once a term drops below 2^-(precision+8) of the accumulated
-    modulus; callers guarantee u != 0 and |u| bounded away from 1, so the
-    tail is geometric.  The loop makes the operations of mpc arithmetic at
-    the ambient precision on the parts' mantissas and exponents: the four
-    exact products and two sums of mpc_mul, the quotients of mpc_div_mpf
-    by k^2 and the sums of mpc_add, rounded half to even (mpmath's 'n',
-    which the package never changes).  The plain loop's stopping test,
-    abs(term) < cutoff * abs(acc) on mpc values, runs on every term that
-    could stop the loop; the others are passed on exponents, which prove
-    |term| >= 2^(E_term - 1) > 4 * cutoff * 2^(E_acc + 1)
-    > 4 * cutoff * |acc|, a margin no rounding of the exact test erases.
-    So the terms summed and the sum are the bits of the plain mpc loop.
+    Callers guarantee u != 0 and |u| bounded away from 1 (at most 0.7191
+    on every route of _dilog_value), so the tail is geometric.  The loop
+    truncates u's parts to F = wp + _SERIES_GUARD + max(0, -mag(u))
+    fractional bits (2^(mag - 1) <= max(|Re u|, |Im u|) < 2^mag), so a
+    tiny u keeps wp + _SERIES_GUARD bits.  Each step forms the power's
+    parts from four int products shifted by F, takes the term as the power
+    // k^2, and adds it to the sum exactly.  It stops once
+    |term| < 2^-(precision+8) |sum|, tested exactly on the ints as
+    (xr^2 + xi^2) 2^(2(precision+8)) < sr^2 + si^2, and rounds the sum once
+    to wp.
+
+    Error bound after K terms: u's truncation, each step's truncation of
+    the power (carried on with a factor |u|) and each floor division err by
+    under 2^-F per part, so the sum errs by under 2 (K + 3/(1 - |u|)) 2^-F
+    against the series' first K terms; the tail adds under
+    2^-(precision+8) |sum| |u|/(1 - |u|), and the rounding half an ulp at
+    wp.  Since |sum| >= |u|/3 and 2^-F <= 2 |u| 2^-(wp + _SERIES_GUARD),
+    the first part is under 12 (K + 3/(1 - |u|)) 2^-_SERIES_GUARD
+    |sum| 2^-wp, so under 2^-15 (precision + 16) |sum| 2^-wp for the
+    K < 2.1 (precision + 8) terms of |u| <= 0.7191; the tail, about
+    2^25 |sum| 2^-wp at wp = precision + 32, dominates.
     """
-    prec = mp.mp.prec
-    cutoff = mp.mpf(2) ** -(precision + 8)
-    gap = 4 - (precision + 8)  # skip the exact test while E_term - E_acc >= gap
-    inf = math.inf
-    (cm, ce), (dm, de) = _mantissas(*u._mpc_)
-    am, ae, bm, be = 1, 0, 0, 0  # power = a + b i
-    sm, se, tm, te = 0, 0, 0, 0  # acc = s + t i
+    parts = _mantissas(*u._mpc_)
+    F = mp.mp.prec + _SERIES_GUARD + max(0, -max(e + m.bit_length() for m, e in parts if m))
+    cr, ci = (m << e + F if e + F >= 0 else m >> -e - F for m, e in parts)
+    ar, ai, sr, si = 1 << F, 0, 0, 0  # the power and the sum
+    shift = 2 * (precision + 8)
     for k in range(1, 64 * (precision + 64)):
-        (am, ae), (bm, be) = (
-            _add(am * cm, ae + ce, -bm * dm, be + de, prec),
-            _add(am * dm, ae + de, bm * cm, be + ce, prec),
-        )
-        xm, xe = _div(am, ae, k * k, prec)
-        ym, ye = _div(bm, be, k * k, prec)
-        sm, se = _add(sm, se, xm, xe, prec)
-        tm, te = _add(tm, te, ym, ye, prec)
-        # E with max(|Re|, |Im|) in [2^(E-1), 2^E); a zero part counts as -inf
-        e_term = max(xe + xm.bit_length() if xm else -inf, ye + ym.bit_length() if ym else -inf)
-        e_acc = max(se + sm.bit_length() if sm else -inf, te + tm.bit_length() if tm else -inf)
-        if e_term - e_acc < gap:
-            term = mp.mp.make_mpc((from_man_exp(xm, xe), from_man_exp(ym, ye)))
-            acc = mp.mp.make_mpc((from_man_exp(sm, se), from_man_exp(tm, te)))
-            if abs(term) < cutoff * abs(acc):
-                return acc
+        ar, ai = (ar * cr - ai * ci) >> F, (ar * ci + ai * cr) >> F
+        xr, xi = ar // (k * k), ai // (k * k)
+        sr += xr
+        si += xi
+        if (xr * xr + xi * xi) << shift < sr * sr + si * si:
+            return mp.mpc(mp.mpf((sr, -F)), mp.mpf((si, -F)))
     raise RuntimeError("dilogarithm series failed to converge")
 
 

@@ -268,10 +268,10 @@ def _assert_within_bound(l, N, panels, precision):
 
 # sha256 over _full_arc_integral(l, N, panels, prec)._mpc_ for panels in
 # (1, 2, 4), prec in (64, 128, 256), l in (1, 2, 5) and N in FULL_ARC_N,
-# recorded when the full arc was a branch of the rounding-copy kernel, whose
-# values were those of the plain mpc loop; check prints its Im.
+# recorded with the Li2 series of the node tables on fixed-point ints (the
+# plain mpc loop's values on those tables); check prints its Im.
 FULL_ARC_N = (1, 7, 20, 40, 64, 88, 150)
-FULL_ARC_DIGEST = "de4a20e3a3458d453b228b720210645623bac5d04beda2b8815ebe4dc7de4403"
+FULL_ARC_DIGEST = "14d514e81e2c6c4cd1891e0ad203ef67a7953478fdba4890422281e1d8ad59e9"
 
 
 class TestArcKernel:
@@ -417,13 +417,13 @@ def _digest(table):
 
 
 # _digest of the half-arc tables at 256 bits, by panel count, recorded
-# with mpmath 1.3.0 when every node's Li2 series made its steps through
-# mpmath's libmpc calls. A kernel that drifts together with its in-test
+# with mpmath 1.3.0 when every node's Li2 series summed on fixed-point ints
+# (specfun._series_li2). A kernel that drifts together with its in-test
 # reference still changes these.
 ARC_NODE_DIGESTS = {
-    1: "af4a162f560a5642c397602252cee803e1985774a58e50ad55ef221c028668d6",
-    2: "8b78ada134fb987872c4f3a6d9a23b5eef0354280301494f29099eabf510f133",
-    4: "56386357f48a53235d19fa09a21559730aec96fd8af06b342e375a978d564fbb",
+    1: "eb78a726dece9332a3d40b39744b56370fedd8595da12943af2008f873a25de1",
+    2: "5da5975707a25c18734a7d7962d6c547527ec95be3c5d9cd366970b7f71a4f9f",
+    4: "078ec62711770f0b96c44322861e0b3610b71ccc58ea1228434b14ca7f550afe",
 }
 
 

@@ -100,13 +100,10 @@ PRIVATE_IMPORTS = {
     },
     "contour": {
         "specfun._GUARD",
-        "specfun._add",
         "specfun._check_precision",
         "specfun._dilog_value",
-        "specfun._div",
         "specfun._mantissas",
         "specfun._pi2_over_6",
-        "specfun._round",
         "specfun._split_map",
     },
     "saddle": {"specfun._GUARD", "specfun._phi_pair", "specfun._split_map"},
@@ -132,9 +129,12 @@ def test_private_imports_between_modules_are_listed():
 # its submodules: mpmath internals, outside its public API
 MPMATH_INTERNALS = {
     "exact": {"mpmath.libmp.from_rational"},
-    "specfun": {"mpmath.libmp.from_man_exp"},
     "contour": {
         "mpmath.libmp.from_man_exp",
+        "mpmath.libmp.mpf_add",
+        "mpmath.libmp.mpf_div",
+        "mpmath.libmp.mpf_mul",
+        "mpmath.libmp.round_nearest",
         "mpmath.libmp.libelefun.cos_sin_basecase",
         "mpmath.libmp.libelefun.exp_basecase",
         "mpmath.libmp.libelefun.ln2_fixed",
