@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, round_nearest
 
 import radpfd.specfun as specfun
 from radpfd.specfun import (
@@ -230,6 +231,62 @@ class TestSeriesLi2:
                 # within one term of the same one
                 sums = partial_sums(u, prec)
                 assert min(abs(got - s) for s in sums[-3:]) <= summed * abs(ref), u
+
+    @pytest.mark.parametrize("prec", [96, 544])
+    def test_a_carry_keeps_the_mantissa_below_2_to_the_prec(self, prec):
+        # a = (2^prec - 1) 2^(2 - 2 prec) is prec one bits, a^2/4 nearly its
+        # ulp, and Re Li2(+-a + b i) = +-a + (a^2 - b^2)/4 + O(a^3): with
+        # b = a/2, or b = a sqrt(7/4) for -a, the real part lies a quarter
+        # ulp inside 2^(2 - prec), far beyond the sum's 2^-F truncation, so
+        # the one rounding carries into the next binade
+        top = mp.ldexp(1, 2 - prec)
+        for sign in (1, -1):
+            with mp.workprec(prec):
+                a = mp.mpf(((1 << prec) - 1, 2 - 2 * prec))
+                u = mp.mpc(sign * a, a / 2 if sign > 0 else a * mp.sqrt(mp.mpf(7) / 4))
+                got = _series_li2(u, prec - 32).real
+            with mp.workprec(3 * prec):
+                assert abs(mp.polylog(2, u).real) < top - mp.ldexp(1, -2 * prec)
+            man = got._mpf_[1]
+            assert man < 1 << prec and got == sign * top, sign
+
+
+def random_mpf(rng, prec):
+    """A signed mpf of 1 to prec mantissa bits and exponent within prec."""
+    m = rng.getrandbits(rng.randint(1, prec)) | 1
+    return from_man_exp(rng.choice((1, -1)) * m, rng.randint(-prec, prec))
+
+
+class TestContourSteps:
+    """The libmpf calls in the steps of contour's Legendre recurrence round
+    as the mpf operators of the plain recurrence they replace: mpf_mul by
+    from_man_exp(n, 0) as mpf * int (mpf_mul_int), the product by 1 - j as
+    the negated product by j - 1, and mpf_div by from_man_exp(j, 0) as
+    mpf / int, at the contour's working precisions."""
+
+    @pytest.mark.parametrize("prec", [96, 160, 288, 544])
+    def test_round_as_mpf_mul_and_mpf_mul_int(self, prec):
+        rng = random.Random(-prec)
+        with mp.workprec(prec):
+            for _ in range(300):  # two mpfs, as x p1 is formed
+                a, b = random_mpf(rng, prec), random_mpf(rng, prec)
+                got = mpf_mul(a, b, prec, round_nearest)
+                assert got == (mp.mp.make_mpf(a) * mp.mp.make_mpf(b))._mpf_, (a, b)
+            for n in range(1, 501):  # the 2j - 1 and j - 1 of j <= 32, and more
+                x = random_mpf(rng, prec)
+                want = mpf_mul_int(x, n, prec, round_nearest)
+                assert want == (n * mp.mp.make_mpf(x))._mpf_, (x, n)
+                assert mpf_mul(from_man_exp(n, 0), x, prec, round_nearest) == want, (x, n)
+                assert mpf_mul(from_man_exp(-n, 0), x, prec, round_nearest) == mpf_neg(want), (x, n)
+
+    @pytest.mark.parametrize("prec", [96, 160, 288, 544])
+    def test_div_as_mpf_div(self, prec):
+        rng = random.Random(prec + 1)
+        with mp.workprec(prec):
+            for j in range(1, 501):  # j <= 32, odd and even, and more
+                t = random_mpf(rng, prec)
+                got = mpf_div(t, from_man_exp(j, 0), prec, round_nearest)
+                assert got == (mp.mp.make_mpf(t) / j)._mpf_, (t, j)
 
 
 class TestJonquiere:
