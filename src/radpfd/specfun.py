@@ -13,9 +13,9 @@ precision + 32 guard bits.  Functions returning an EvalResult report an
 upper bound on their error alongside the value.
 
 The private helper _split_map, which the node tables of contour and saddle
-share, forks one child on hosts with 2 or more usable CPUs.  The Li2 series
-sums on fixed-point ints and rounds once, within the bound _series_li2
-states.
+and the two halves of cli's check share, forks one child on hosts with 2
+or more usable CPUs.  The Li2 series sums on fixed-point ints and rounds
+once, within the bound _series_li2 states.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
 
 _GUARD = 32
 _SERIES_GUARD = 20  # extra fractional bits of _series_li2's fixed-point loop
-_in_split_child = False  # set in the child of _split_map, which never forks again
+_splitting = False  # set in both processes while a _split_map runs: no split nests
 
 
 def _split_map(fn, items):
@@ -46,13 +46,14 @@ def _split_map(fn, items):
     The child pickles its results into a pipe and ends with os._exit; if
     it fails, this process computes its items too, so an exception rises
     here with its usual type.  Serial with fewer than 2 items or 2 usable
-    CPUs, without os.fork or os.sched_getaffinity, and inside a split child.
+    CPUs, without os.fork or os.sched_getaffinity, and in both processes
+    while a split runs (the flag is restored however the split ends).
     """
-    global _in_split_child
+    global _splitting
     items = list(items)
     if (
         len(items) < 2
-        or _in_split_child
+        or _splitting
         or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
         or len(os.sched_getaffinity(0)) < 2
     ):
@@ -65,7 +66,7 @@ def _split_map(fn, items):
     if pid == 0:
         status = 1
         try:
-            _in_split_child = True
+            _splitting = True
             os.close(r)
             with os.fdopen(w, "wb") as pipe:
                 pickle.dump([fn(x) for x in items[1::2]], pipe, pickle.HIGHEST_PROTOCOL)
@@ -75,12 +76,14 @@ def _split_map(fn, items):
     os.close(w)
     with os.fdopen(r, "rb") as pipe:
         try:
+            _splitting = True
             even = [fn(x) for x in items[0::2]]
             data = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
+            _splitting = False
             status = os.waitpid(pid, 0)[1]
     odd = pickle.loads(data) if status == 0 else [fn(x) for x in items[1::2]]
     out = [None] * len(items)

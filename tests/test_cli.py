@@ -6,6 +6,9 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -790,6 +793,26 @@ class TestCheck:
             names.append(name)
         assert len(names) == 18
 
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_split_halves_give_the_serial_triples(self, monkeypatch, two_cpus, prec):
+        split = list(cli.run_checks(prec))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert split == list(cli.run_checks(prec))
+
+    def test_a_check_forks_once(self, monkeypatch, capsys, two_cpus):
+        contour._legendre_rule.cache_clear()
+        contour._arc_nodes.cache_clear()
+        contour._oracle_nodes.cache_clear()
+        fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        assert cli.main(["check"]) == 0
+        assert forks == [os.getpid()]
+
 
 _EVERY_COMMAND = [
     ["constants"],
@@ -847,3 +870,15 @@ class TestPrecisionCap:
         default = capsys.readouterr().out
         assert cli.main(["--prec-bits", str(cli._MAX_PREC_BITS)] + argv) == 0
         assert capsys.readouterr().out == default
+
+
+def test_python_m_radpfd_is_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = [
+        subprocess.run([sys.executable, "-m", module, "constants"], capture_output=True, env=env)
+        for module in ("radpfd", "radpfd.cli")
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
+    assert runs[0].stdout.startswith(b"z0     = ")

@@ -591,6 +591,33 @@ class TestSplitMap:
         assert child != os.getpid()
         assert nested == [child, child]
 
+    def test_the_parents_share_does_not_fork(self, two_cpus):
+        def pids(_):
+            return os.getpid(), specfun._split_map(lambda _: os.getpid(), range(2))
+
+        (parent, nested), _ = specfun._split_map(pids, range(2))
+        assert parent == os.getpid()
+        assert nested == [parent, parent]
+
+    @pytest.mark.parametrize("bad", [0, 1])  # raised here, raised in the child
+    def test_a_split_forks_again_after_an_error(self, monkeypatch, two_cpus, bad):
+        def fn(x):
+            if x == bad:
+                raise ValueError(f"bad item {x}")
+            return x
+
+        with pytest.raises(ValueError, match=f"bad item {bad}"):
+            specfun._split_map(fn, range(2))
+        fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        assert specfun._split_map(lambda x: (x, os.getpid()), range(2))[1][1] != os.getpid()
+        assert forks == [os.getpid()]
+
 
 class TestNodeLadder:
     """integral_approx_C doubles 1 -> 2 -> ... -> 64 panels of 32 nodes

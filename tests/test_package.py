@@ -90,6 +90,7 @@ PRIVATE_IMPORTS = {
         "saddle._saddle_precision",
         "specfun._GUARD",
         "specfun._check_precision",
+        "specfun._split_map",
     },
     "report": {
         "contour._integrals",
