@@ -317,15 +317,27 @@ def run_checks(precision: int = 256):
     """Yield every numeric witness as a (name, ok, detail) triple, in a
     fixed order; detail is "" where the check prints nothing more.  Two
     halves run through specfun._split_map, one per process on 2 or more
-    usable CPUs; both finish before the first yield."""
+    usable CPUs, and the node-doubling witness takes one arc value from
+    each, so its two tables build in parallel; both halves finish before
+    the first yield."""
     sd = saddle_constants(precision)
-    here, there = _split_map(lambda half: list(half(sd, precision)), (_checks_here, _checks_there))
-    # saddle and oracle, growth exponent and trig, Euler constant, arc and divergence
-    yield from here[:9] + there[:3] + here[9:] + there[3:]
+
+    def half(item):  # a half's witnesses, then its node-doubling arc value
+        checks, panels = item
+        return list(checks(sd, precision)), _arc_integral(1, 20, panels, precision)
+
+    (here, v64), (there, v128) = _split_map(half, [(_checks_here, 2), (_checks_there, 4)])
+    doubling = (
+        "arc quadrature stable under node doubling",
+        abs(v128 - v64) < mp.mpf("1e-10") * abs(v128),
+        f"relative delta = {mp.nstr(abs(v128 - v64) / abs(v128), 3)}",
+    )
+    # saddle, oracle, growth, trig, Euler constant, full arc, doubling, N = 60, divergence
+    yield from here[:9] + there[:3] + here[9:11] + there[3:4] + [doubling] + here[11:] + there[4:]
 
 
 def _checks_here(sd, precision):
-    """The saddle, oracle and Euler-constant witnesses of run_checks."""
+    """The saddle, oracle, Euler-constant and N = 60 arc witnesses of run_checks."""
     tight = mp.mpf(2) ** -(precision - 16)
     loose = mp.mpf(2) ** -(precision // 2)
     tiny = mp.mpf("1e-20")
@@ -374,10 +386,19 @@ def _checks_here(sd, precision):
     dev = constant_c_euler_check()
     ok = dev < mp.mpf("1e-3")
     yield "c consistent with direct quadrature", ok, f"relative deviation = {mp.nstr(dev, 3)}"
+    exact60 = _to_mpf(exact_coefficients(60).coeff(1), precision)
+    v60 = integral_approx_C(1, 60, precision)
+    with mp.workprec(precision):
+        rel = abs(v60 - exact60) / abs(exact60)
+    yield (
+        "arc integral within 10% of exact at N = 60",
+        rel < mp.mpf("0.1"),
+        f"relative error = {mp.nstr(rel, 3)}",
+    )
 
 
 def _checks_there(sd, precision):
-    """The other witnesses, with every arc one: a cold Legendre rule is built once."""
+    """The growth-exponent, trig, full-arc and divergence witnesses of run_checks."""
     path = [5j + (complex(sd.z0) - 5j) * t / 199 for t in range(200)]
     ok = check_monotone_exponent(path)
     yield "growth exponent monotone toward the saddle", ok, ""
@@ -388,22 +409,6 @@ def _checks_there(sd, precision):
     full = _full_arc_integral(1, 20, 2, precision)
     ok = abs(full.imag) < mp.mpf(2) ** -(precision // 2) * max(1, abs(full))
     yield "arc integral real before the cast", ok, f"Im = {mp.nstr(abs(full.imag), 3)}"
-    v64 = _arc_integral(1, 20, 2, precision)
-    v128 = _arc_integral(1, 20, 4, precision)
-    yield (
-        "arc quadrature stable under node doubling",
-        abs(v128 - v64) < mp.mpf("1e-10") * abs(v128),
-        f"relative delta = {mp.nstr(abs(v128 - v64) / abs(v128), 3)}",
-    )
-    exact60 = _to_mpf(exact_coefficients(60).coeff(1), precision)
-    v60 = integral_approx_C(1, 60, precision)
-    with mp.workprec(precision):
-        rel = abs(v60 - exact60) / abs(exact60)
-    yield (
-        "arc integral within 10% of exact at N = 60",
-        rel < mp.mpf("0.1"),
-        f"relative error = {mp.nstr(rel, 3)}",
-    )
     rep = analyze_divergence([(n, mp.mpf(1)) for n in range(80, 151)], b=sd.b, p=sd.p)
     ok = rep.verdict == "no divergence detected"
     yield "divergence detector ignores constant input", ok, ""
